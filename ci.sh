@@ -67,14 +67,26 @@ cargo test --offline -q
 echo "==> scenario golden suite"
 cargo test --offline -q -p limeqo-integration-tests --test scenarios
 
-# Kernel-equivalence differential suite: blocked kernels bit-identical to
-# naive at every tile/thread combination, incremental factor updates exact
-# when all rows are dirty and deviation-bounded otherwise, and the
+# Kernel-equivalence differential suite: the tiled product and the fused
+# ALS half-steps bit-identical to the three-pass reference (QHᵀ, fill,
+# batched ridge solve) at every tile/thread combination and on the edge
+# cases uniform draws miss (exact zeros, censored bounds on both sides of
+# the prediction, fewer rows than threads, ranks around the fixed-width
+# r = 5 path, λ = 0 on rank-deficient factors), incremental factor updates
+# exact when all rows are dirty and deviation-bounded otherwise, and the
 # LimeQO-vs-Random invariant with incremental updates on. Re-run under its
 # own gate line (like the golden suite) so a kernel divergence is named in
 # CI output; the large-shape sweep rides the --ignored tier.
 echo "==> kernel-equivalence differential suite"
 cargo test --offline -q -p limeqo-integration-tests --test kernels
+
+# The benchmark harness's own tests (perfbench/ is a standalone package, so
+# tier-1 never builds it): a traced episode reproduces the untraced one bit
+# for bit, the harness round loop equals Explorer::run_until, and the
+# reference clocks. A kernel change that breaks the benchmark's checks
+# fails here, not in the benchmark run.
+echo "==> benchmark harness tests (perfbench)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 # The file corpus under scenarios/ must stay a byte-exact re-expression
 # of the code registry (canonical serializer form, spec-equal,

@@ -149,9 +149,11 @@ pub fn run(opts: &PerfOpts) -> Json {
     let wm = store.matrix();
 
     // ALS: the identical fit — naive serial, naive parallel, and the
-    // cache-blocked kernels single-threaded (bit-identical output by
-    // contract, so the whole delta against `als.serial_s` is memory
-    // locality — a core-count-independent floor `perf --full` gates on).
+    // fused kernels single-threaded (bit-identical output by contract, so
+    // the whole delta against `als.serial_s` is the kernel: no n×k Ŵ per
+    // half-step, no allocation per solve, rank-sized register
+    // accumulators — a core-count-independent floor `perf --full` gates
+    // on).
     // Fresh completers per measurement so the RNG call counter cannot
     // skew a comparison. The three configurations are sampled
     // *interleaved*, one of each per round with per-configuration minima,

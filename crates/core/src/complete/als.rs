@@ -30,21 +30,27 @@
 //! the `Q` update solves one r-dimensional ridge system per *query*, the
 //! `H` update one per *hint*, and the low-rank product `QHᵀ` is one dot
 //! product per cell. [`AlsCompleter::threads`] fans those solves out over
-//! crossbeam scoped workers via the batched solvers
-//! `limeqo_linalg::ridge_solve_rows` / `ridge_solve_cols`, each worker
-//! writing only its own pre-allocated factor rows. The result is
-//! **byte-identical to the serial path at any thread count** — the
-//! partition moves chunk boundaries, never the per-element arithmetic —
-//! which is what lets the golden scenario suite stay pinned while the hot
-//! path scales across cores (contract in PERF.md; pinned by
-//! `tests/tests/determinism.rs` at 1/2/8 threads).
+//! crossbeam scoped workers, each worker writing only its own
+//! pre-allocated factor rows. The result is **byte-identical to the serial
+//! path at any thread count** — the partition moves chunk boundaries, never
+//! the per-element arithmetic — which is what lets the golden scenario
+//! suite stay pinned while the hot path scales across cores (contract in
+//! PERF.md; pinned by `tests/tests/determinism.rs` at 1/2/8 threads).
 //!
-//! Matrix assembly no longer materializes the dense `W̃`/`M`/`T` triple
+//! The default kernel ([`AlsKernel::Blocked`]) fuses each half-step into
+//! one pass per factor row (`limeqo_linalg::block::fused_q_step` /
+//! `fused_h_step`): the row of `QHᵀ` a solve needs is computed where it
+//! is consumed, its observed slots are filled, and its right-hand side is
+//! accumulated and solved in place, so the filled matrix `Ŵ` is never
+//! materialised. [`AlsKernel::Naive`] keeps the three-pass reference
+//! (`QHᵀ`, fill, batched solve) that the fused kernels are pinned to.
+//!
+//! Matrix assembly does not materialize the dense `W̃`/`M`/`T` triple
 //! either: the observed and censored cells are gathered once per call from
 //! the matrix's compact observed-cell index
-//! ([`WorkloadMatrix::observed_cols`]), so assembly is O(observed), and the
-//! per-iteration fill starts from `QHᵀ` and overwrites just the observed
-//! slots — numerically identical to the old dense
+//! ([`WorkloadMatrix::observed_cols`]) into per-row runs, so assembly is
+//! O(observed), and the fill starts from `QHᵀ` and overwrites just a row's
+//! observed slots — numerically identical to the old dense
 //! `M ⊙ W̃ + (1−M) ⊙ QHᵀ` + censored-clamp sequence.
 
 use super::Completer;
@@ -52,24 +58,25 @@ use crate::matrix::{Cell, WorkloadMatrix};
 use limeqo_linalg::rng::SeededRng;
 use limeqo_linalg::{block, par, ridge_solve_cols, ridge_solve_rows_blocked, Mat};
 
-/// Which kernel implementation backs the three ALS hot loops (`QHᵀ`, the
-/// `Q` ridge batch, the `H` ridge batch).
+/// Which kernel implementation backs the ALS half-steps.
 ///
-/// Every variant is **byte-identical** — the blocked kernels preserve the
-/// naive kernels' per-element floating-point operation sequence exactly
+/// Every variant is **byte-identical** — the fused kernels preserve the
+/// reference kernels' per-element floating-point operation sequence exactly
 /// (see `limeqo_linalg::block` and the `tests/tests/kernels.rs`
 /// differential suite) — so this is a pure performance knob: switching it
 /// can never move a golden.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlsKernel {
-    /// The original unblocked batched kernels (`limeqo_linalg::par` /
-    /// `ridge_solve_rows_blocked` / `ridge_solve_cols`).
+    /// The three-pass reference: `QHᵀ` (`limeqo_linalg::par::matmul_t`),
+    /// the fill, then `ridge_solve_rows_blocked` / `ridge_solve_cols`.
     Naive,
-    /// Cache-blocked kernels from `limeqo_linalg::block`, computing each
-    /// panel in `tile`-wide slices. `tile = 0` picks the auto size (the
-    /// largest slice whose operand panel fits the L1 budget).
+    /// The fused half-steps from `limeqo_linalg::block`, which never
+    /// materialise the filled matrix; the `H` step takes its hint columns
+    /// `tile` at a time, and the final completion is an L1-tiled `QHᵀ`.
+    /// `tile = 0` picks the auto size (the largest slice whose panel fits
+    /// the L1 budget).
     Blocked {
-        /// Right-hand sides per slice; `0` = auto.
+        /// Hint columns per slice; `0` = auto.
         tile: usize,
     },
 }
@@ -90,36 +97,52 @@ impl AlsKernel {
         }
     }
 
-    fn solve_rows(
+    /// `Q ← Ŵ H (HᵀH + λI)⁻¹` with `Ŵ = fill(QHᵀ)`: one ridge system per
+    /// row of `q`, batched per block.
+    fn q_step(
         &self,
-        g: &Mat,
-        b_rows: &Mat,
+        q: &Mat,
+        h: &Mat,
         lambda: f64,
         threads: usize,
         blocks: &[(usize, usize)],
+        fill: impl Fn(usize, usize, &mut [f64]) + Sync,
     ) -> limeqo_linalg::Result<Mat> {
         match *self {
-            AlsKernel::Naive => ridge_solve_rows_blocked(g, b_rows, lambda, threads, blocks),
-            AlsKernel::Blocked { tile } => {
-                block::ridge_solve_rows_tiled(g, b_rows, lambda, threads, blocks, tile)
+            AlsKernel::Naive => {
+                let w_hat = filled(par::matmul_t(q, h, threads)?, fill);
+                ridge_solve_rows_blocked(h, &w_hat, lambda, threads, blocks)
             }
+            AlsKernel::Blocked { .. } => block::fused_q_step(q, h, lambda, threads, blocks, fill),
         }
     }
 
-    fn solve_cols(
+    /// `H ← Ŵᵀ Q (QᵀQ + λI)⁻¹` with `Ŵ = fill(QHᵀ)`: one ridge system per
+    /// hint column.
+    fn h_step(
         &self,
-        g: &Mat,
-        b: &Mat,
+        q: &Mat,
+        h: &Mat,
         lambda: f64,
         threads: usize,
+        fill: impl Fn(usize, usize, &mut [f64]) + Sync,
     ) -> limeqo_linalg::Result<Mat> {
         match *self {
-            AlsKernel::Naive => ridge_solve_cols(g, b, lambda, threads),
-            AlsKernel::Blocked { tile } => {
-                block::ridge_solve_cols_tiled(g, b, lambda, threads, tile)
+            AlsKernel::Naive => {
+                let w_hat = filled(par::matmul_t(q, h, threads)?, fill);
+                ridge_solve_cols(q, &w_hat, lambda, threads)
             }
+            AlsKernel::Blocked { tile } => block::fused_h_step(q, h, lambda, threads, tile, fill),
         }
     }
+}
+
+/// `qh` with `fill` applied to each of its rows.
+fn filled(mut qh: Mat, fill: impl Fn(usize, usize, &mut [f64])) -> Mat {
+    for row in 0..qh.rows() {
+        fill(row, 0, qh.row_mut(row));
+    }
+    qh
 }
 
 /// Censored non-negative ALS matrix completion.
@@ -170,46 +193,58 @@ pub struct AlsCompleter {
 }
 
 /// The observed cells of a workload matrix, gathered once per `complete()`
-/// call from the compact index: completed `(row, col, value)` triples and
-/// censored `(row, col, bound)` triples, both in row-major order.
+/// call from the compact index: completed `(col, value)` and censored
+/// `(col, bound)` pairs, both in row-major order, with each row's run
+/// located by offset.
 struct GatheredCells {
-    completes: Vec<(u32, u32, f64)>,
-    censored: Vec<(u32, u32, f64)>,
+    completes: Vec<(u32, f64)>,
+    censored: Vec<(u32, f64)>,
+    /// Row `i`'s cells are `completes[starts[i].0..starts[i + 1].0]` and
+    /// `censored[starts[i].1..starts[i + 1].1]`.
+    starts: Vec<(usize, usize)>,
 }
 
 impl GatheredCells {
     fn gather(wm: &WorkloadMatrix, want_censored: bool) -> Self {
         let mut completes = Vec::new();
         let mut censored = Vec::new();
+        let mut starts = Vec::with_capacity(wm.n_rows() + 1);
         for row in 0..wm.n_rows() {
+            starts.push((completes.len(), censored.len()));
             for &col in wm.observed_cols(row) {
                 match wm.cell(row, col as usize) {
-                    Cell::Complete(v) => completes.push((row as u32, col, v)),
-                    Cell::Censored(b) if want_censored => censored.push((row as u32, col, b)),
+                    Cell::Complete(v) => completes.push((col, v)),
+                    Cell::Censored(b) if want_censored => censored.push((col, b)),
                     Cell::Censored(_) | Cell::Unobserved => {}
                 }
             }
         }
-        GatheredCells { completes, censored }
+        starts.push((completes.len(), censored.len()));
+        GatheredCells { completes, censored, starts }
     }
 
-    /// `Ŵ ← M ⊙ W̃ + (1−M) ⊙ QHᵀ` with the censored clamp
-    /// `Ŵᵢⱼ ← max(Ŵᵢⱼ, Tᵢⱼ)` (Algorithm 2 lines 3–5), starting from the
-    /// low-rank product and touching only observed slots. Numerically
-    /// identical to the dense `fill_estimate` it replaces.
-    fn fill(&self, mut qh: Mat) -> Mat {
-        let k = qh.cols();
-        let s = qh.as_mut_slice();
-        for &(r, c, v) in &self.completes {
-            s[r as usize * k + c as usize] = v;
-        }
-        for &(r, c, bound) in &self.censored {
-            let i = r as usize * k + c as usize;
-            if bound > 0.0 && s[i] < bound {
-                s[i] = bound;
+    /// `Ŵᵢⱼ ← W̃ᵢⱼ` on the complete cells and the censored clamp
+    /// `Ŵᵢⱼ ← max(Ŵᵢⱼ, Tᵢⱼ)` (Algorithm 2 lines 3–5) on the window of row
+    /// `row` of `QHᵀ` that starts at column `lo` (`w[j - lo]` is column
+    /// `j`). Complete and censored cells are disjoint, so filling row by
+    /// row is numerically identical to the dense `fill_estimate` this
+    /// replaces.
+    fn fill_row(&self, row: usize, lo: usize, w: &mut [f64]) {
+        let ((c0, s0), (c1, s1)) = (self.starts[row], self.starts[row + 1]);
+        let cols = lo..lo + w.len();
+        for &(c, v) in &self.completes[c0..c1] {
+            if cols.contains(&(c as usize)) {
+                w[c as usize - lo] = v;
             }
         }
-        qh
+        for &(c, bound) in &self.censored[s0..s1] {
+            if cols.contains(&(c as usize)) {
+                let slot = &mut w[c as usize - lo];
+                if bound > 0.0 && *slot < bound {
+                    *slot = bound;
+                }
+            }
+        }
     }
 
     /// Mean of the completed values — the scale the random factor init is
@@ -217,7 +252,7 @@ impl GatheredCells {
     /// dense `values().sum() / mask().sum()` bit for bit (the skipped
     /// zeros never changed a partial sum).
     fn mean_complete(&self) -> f64 {
-        let sum: f64 = self.completes.iter().map(|&(_, _, v)| v).sum();
+        let sum: f64 = self.completes.iter().map(|&(_, v)| v).sum();
         let count = self.completes.len().max(1);
         (sum / count as f64).max(1e-9)
     }
@@ -326,30 +361,26 @@ impl AlsCompleter {
         };
 
         let threads = self.threads;
+        let fill = |row: usize, lo: usize, w: &mut [f64]| cells.fill_row(row, lo, w);
         for _ in 0..self.iters {
-            // Ŵ ← M⊙W̃ + (1−M)⊙QHᵀ  (+ censored clamp)
-            let qh = self.kernel.matmul_t(&q, &h, threads).expect("QHᵀ shape");
-            let w_hat = cells.fill(qh);
-            // Q ← Ŵ H (HᵀH + λI)⁻¹: one independent r-dimensional ridge
-            // system per query row, batched per shard, fanned out across
-            // the workers.
+            // Q ← Ŵ H (HᵀH + λI)⁻¹ with Ŵ ← M⊙W̃ + (1−M)⊙QHᵀ (+ censored
+            // clamp): one independent r-dimensional ridge system per query
+            // row, batched per shard, fanned out across the workers.
             q = self
                 .kernel
-                .solve_rows(&h, &w_hat, self.lambda, threads, &shard_blocks)
+                .q_step(&q, &h, self.lambda, threads, &shard_blocks, fill)
                 .expect("Q update");
             if self.nonneg {
                 q.clamp_min(0.0);
             }
-            let qh = self.kernel.matmul_t(&q, &h, threads).expect("QHᵀ shape");
-            let w_hat = cells.fill(qh);
-            // H ← Ŵᵀ Q (QᵀQ + λI)⁻¹: one system per hint column.
-            h = self.kernel.solve_cols(&q, &w_hat, self.lambda, threads).expect("H update");
+            // H ← Ŵᵀ Q (QᵀQ + λI)⁻¹ on the refilled Ŵ: one system per hint
+            // column.
+            h = self.kernel.h_step(&q, &h, self.lambda, threads, fill).expect("H update");
             if self.nonneg {
                 h.clamp_min(0.0);
             }
         }
-        let qh = self.kernel.matmul_t(&q, &h, threads).expect("QHᵀ shape");
-        let completed = cells.fill(qh);
+        let completed = filled(self.kernel.matmul_t(&q, &h, threads).expect("QHᵀ shape"), fill);
         if self.warm_start {
             self.warm = Some((q.clone(), h.clone()));
         }
@@ -412,39 +443,17 @@ impl AlsCompleter {
         self.calls += 1;
         let (mut q, h) = self.warm.take().expect("warm_ok checked above");
         if !dirty.is_empty() {
-            // Dirty right-hand sides: each dirty row of Ŵ, i.e. that row of
-            // QHᵀ with its observed cells overwritten (and the censored
-            // clamp applied) — the same fill the full path computes, built
-            // for just the d dirty rows.
-            let mut w_d = Mat::zeros(dirty.len(), k);
-            for (i, &row) in dirty.iter().enumerate() {
-                let q_row = q.row(row);
-                let out = w_d.row_mut(i);
-                for (j, o) in out.iter_mut().enumerate() {
-                    let h_row = h.row(j);
-                    let mut acc = 0.0;
-                    for (&x, &y) in q_row.iter().zip(h_row.iter()) {
-                        acc += x * y;
-                    }
-                    *o = acc;
-                }
-                for &col in wm.observed_cols(row) {
-                    match wm.cell(row, col as usize) {
-                        Cell::Complete(v) => out[col as usize] = v,
-                        Cell::Censored(b) if self.censored => {
-                            if b > 0.0 && out[col as usize] < b {
-                                out[col as usize] = b;
-                            }
-                        }
-                        Cell::Censored(_) | Cell::Unobserved => {}
-                    }
-                }
-            }
             // Q_d ← Ŵ_d H (HᵀH + λI)⁻¹: the closed-form Q update restricted
-            // to the dirty rows, against the retained H.
+            // to the dirty rows, against the retained H — the same Q step
+            // the full path runs, over the gathered dirty rows of Q.
+            let mut q_d = Mat::zeros(dirty.len(), r);
+            for (i, &row) in dirty.iter().enumerate() {
+                q_d.row_mut(i).copy_from_slice(q.row(row));
+            }
+            let fill = |i: usize, lo: usize, w: &mut [f64]| cells.fill_row(dirty[i], lo, w);
             let mut q_d = self
                 .kernel
-                .solve_rows(&h, &w_d, self.lambda, self.threads, &[(0, dirty.len())])
+                .q_step(&q_d, &h, self.lambda, self.threads, &[(0, dirty.len())], fill)
                 .expect("incremental Q update");
             if self.nonneg {
                 q_d.clamp_min(0.0);
@@ -453,8 +462,9 @@ impl AlsCompleter {
                 q.row_mut(row).copy_from_slice(q_d.row(i));
             }
         }
-        let qh = self.kernel.matmul_t(&q, &h, self.threads).expect("QHᵀ shape");
-        let completed = cells.fill(qh);
+        let fill = |row: usize, lo: usize, w: &mut [f64]| cells.fill_row(row, lo, w);
+        let completed =
+            filled(self.kernel.matmul_t(&q, &h, self.threads).expect("QHᵀ shape"), fill);
         self.warm = Some((q.clone(), h.clone()));
         (completed, q, h)
     }

@@ -49,31 +49,39 @@ impl CholeskyFactor {
 
     /// Solve `A x = b` for a single right-hand side.
     pub fn solve_vec(&self, b: &[f64]) -> Result<Vec<f64>> {
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// Solve `A x = b` in place: `x` holds `b` on entry and the solution on
+    /// return. Allocates nothing, which is what the per-row ALS solves
+    /// need; [`CholeskyFactor::solve_vec`] and [`CholeskyFactor::solve`]
+    /// run this same operation sequence, so all three agree bit for bit.
+    pub fn solve_in_place(&self, x: &mut [f64]) -> Result<()> {
         let n = self.l.rows();
-        if b.len() != n {
+        if x.len() != n {
             return Err(LinalgError::ShapeMismatch {
                 op: "cholesky solve",
                 lhs: (n, n),
-                rhs: (b.len(), 1),
+                rhs: (x.len(), 1),
             });
         }
         // Forward substitution: L y = b.
-        let mut y = b.to_vec();
         for i in 0..n {
             for k in 0..i {
-                y[i] -= self.l[(i, k)] * y[k];
+                x[i] -= self.l[(i, k)] * x[k];
             }
-            y[i] /= self.l[(i, i)];
+            x[i] /= self.l[(i, i)];
         }
         // Back substitution: Lᵀ x = y.
-        let mut x = y;
         for i in (0..n).rev() {
             for k in i + 1..n {
                 x[i] -= self.l[(k, i)] * x[k];
             }
             x[i] /= self.l[(i, i)];
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Solve `A X = B` column-by-column for a matrix right-hand side.
@@ -86,15 +94,12 @@ impl CholeskyFactor {
                 rhs: b.shape(),
             });
         }
-        let mut out = Mat::zeros(n, b.cols());
-        for c in 0..b.cols() {
-            let col = b.col(c);
-            let x = self.solve_vec(&col)?;
-            for (r, v) in x.into_iter().enumerate() {
-                out[(r, c)] = v;
-            }
+        // Row c of the transpose is column c of B, solved in place.
+        let mut xt = b.transpose();
+        for c in 0..xt.rows() {
+            self.solve_in_place(xt.row_mut(c))?;
         }
-        Ok(out)
+        Ok(xt.transpose())
     }
 }
 

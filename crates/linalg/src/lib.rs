@@ -21,7 +21,7 @@
 //! * [`par`] — deterministic fork-join helpers (contiguous output chunks,
 //!   one scoped worker per chunk, no cross-chunk reductions) behind the
 //!   batched ridge solvers [`ridge_solve_rows`] / [`ridge_solve_cols`],
-//! * [`block`] — cache-blocked (tiled) variants of the batched ALS kernels,
+//! * [`block`] — the fused ALS half-steps and a cache-blocked `QHᵀ`,
 //!   byte-identical to the naive paths at any tile size and thread count,
 //! * [`mod@fenwick`] — a Fenwick (binary indexed) tree over integer counts,
 //!   the rank-selection substrate of the sublinear candidate-selection
@@ -47,7 +47,7 @@ pub mod par;
 pub mod rng;
 pub mod svd;
 
-pub use block::{matmul_t_tiled, ridge_solve_cols_tiled, ridge_solve_rows_tiled};
+pub use block::{fused_h_step, fused_q_step, matmul_t_tiled};
 pub use cholesky::{cholesky, cholesky_solve, CholeskyFactor};
 pub use eigen::{eigen_sym, EigenSym};
 pub use error::{LinalgError, Result};

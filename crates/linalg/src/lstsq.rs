@@ -96,6 +96,17 @@ impl RidgeFactor {
             FactorKind::Lu(f) => f.solve(gtb),
         }
     }
+
+    /// Solve `(GᵀG + λI) x = Gᵀb` for one right-hand side in place: `x`
+    /// holds `Gᵀb` on entry and the solution on return. Allocates nothing,
+    /// and runs the operation sequence [`RidgeFactor::solve`] runs on each
+    /// column, so the two agree bit for bit.
+    pub fn solve_in_place(&self, x: &mut [f64]) -> Result<()> {
+        match &self.kind {
+            FactorKind::Chol(f) => f.solve_in_place(x),
+            FactorKind::Lu(f) => f.solve_in_place(x),
+        }
+    }
 }
 
 /// Batched ridge solve over **rows**: every row of `b_rows` is an
@@ -168,15 +179,7 @@ pub fn ridge_solve_rows_blocked(
         });
     }
     let q = b_rows.rows();
-    let mut expect = 0usize;
-    for &(start, end) in blocks {
-        assert!(
-            start == expect && end >= start,
-            "blocks must partition 0..{q} contiguously: got ({start}, {end}) after {expect}"
-        );
-        expect = end;
-    }
-    assert!(expect == q, "blocks must cover 0..{q}: ended at {expect}");
+    assert_row_partition(blocks, q);
     let factor = RidgeFactor::new(g, lambda)?;
     let p = g.cols();
     let mut out = Mat::zeros(q, p);
@@ -204,6 +207,20 @@ pub fn ridge_solve_rows_blocked(
         });
     }
     Ok(out)
+}
+
+/// Panic unless `blocks` are contiguous ascending `(start, end)` ranges
+/// covering `0..rows` exactly (empty blocks allowed).
+pub(crate) fn assert_row_partition(blocks: &[(usize, usize)], rows: usize) {
+    let mut expect = 0usize;
+    for &(start, end) in blocks {
+        assert!(
+            start == expect && end >= start,
+            "blocks must partition 0..{rows} contiguously: got ({start}, {end}) after {expect}"
+        );
+        expect = end;
+    }
+    assert!(expect == rows, "blocks must cover 0..{rows}: ended at {expect}");
 }
 
 /// Batched ridge solve over **columns**: every column of `b` is an

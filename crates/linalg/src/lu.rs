@@ -13,8 +13,10 @@ pub struct LuFactor {
     /// Combined storage: strictly-lower part holds L (unit diagonal implied),
     /// upper part holds U.
     lu: Mat,
-    /// Row permutation: `perm[i]` is the original row now in position `i`.
-    perm: Vec<usize>,
+    /// Row interchanges in elimination order: row `i` was swapped with
+    /// row `piv[i]` (LAPACK's `ipiv`), so a right-hand side is permuted in
+    /// place by replaying the swaps.
+    piv: Vec<usize>,
 }
 
 /// Factor a square matrix with partial pivoting.
@@ -24,7 +26,7 @@ pub fn lu(a: &Mat) -> Result<LuFactor> {
         return Err(LinalgError::NotSquare { rows: n, cols: m });
     }
     let mut lu_m = a.clone();
-    let mut perm: Vec<usize> = (0..n).collect();
+    let mut piv = Vec::with_capacity(n);
     for col in 0..n {
         // Pivot selection: largest absolute value in the column at/below the diagonal.
         let mut pivot_row = col;
@@ -39,8 +41,8 @@ pub fn lu(a: &Mat) -> Result<LuFactor> {
         if pivot_val < 1e-300 {
             return Err(LinalgError::Singular { pivot: col });
         }
+        piv.push(pivot_row);
         if pivot_row != col {
-            perm.swap(col, pivot_row);
             for c in 0..n {
                 let a = lu_m[(col, c)];
                 let b = lu_m[(pivot_row, c)];
@@ -58,7 +60,7 @@ pub fn lu(a: &Mat) -> Result<LuFactor> {
             }
         }
     }
-    Ok(LuFactor { lu: lu_m, perm })
+    Ok(LuFactor { lu: lu_m, piv })
 }
 
 impl LuFactor {
@@ -69,29 +71,40 @@ impl LuFactor {
 
     /// Solve `A x = b` for a single right-hand side.
     pub fn solve_vec(&self, b: &[f64]) -> Result<Vec<f64>> {
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// Solve `A x = b` in place: `x` holds `b` on entry and the solution on
+    /// return. Allocates nothing; [`LuFactor::solve_vec`] and
+    /// [`LuFactor::solve`] run this same operation sequence.
+    pub fn solve_in_place(&self, x: &mut [f64]) -> Result<()> {
         let n = self.lu.rows();
-        if b.len() != n {
+        if x.len() != n {
             return Err(LinalgError::ShapeMismatch {
                 op: "lu solve",
                 lhs: (n, n),
-                rhs: (b.len(), 1),
+                rhs: (x.len(), 1),
             });
         }
-        // Apply permutation, then forward substitution with unit-lower L.
-        let mut y: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
+        // Apply the permutation, then forward substitution with unit-lower L.
+        for (i, &p) in self.piv.iter().enumerate() {
+            x.swap(i, p);
+        }
         for i in 0..n {
             for k in 0..i {
-                y[i] -= self.lu[(i, k)] * y[k];
+                x[i] -= self.lu[(i, k)] * x[k];
             }
         }
         // Back substitution with U.
         for i in (0..n).rev() {
             for k in i + 1..n {
-                y[i] -= self.lu[(i, k)] * y[k];
+                x[i] -= self.lu[(i, k)] * x[k];
             }
-            y[i] /= self.lu[(i, i)];
+            x[i] /= self.lu[(i, i)];
         }
-        Ok(y)
+        Ok(())
     }
 
     /// Solve `A X = B` for a matrix right-hand side.
@@ -100,14 +113,12 @@ impl LuFactor {
         if b.rows() != n {
             return Err(LinalgError::ShapeMismatch { op: "lu solve", lhs: (n, n), rhs: b.shape() });
         }
-        let mut out = Mat::zeros(n, b.cols());
-        for c in 0..b.cols() {
-            let x = self.solve_vec(&b.col(c))?;
-            for (r, v) in x.into_iter().enumerate() {
-                out[(r, c)] = v;
-            }
+        // Row c of the transpose is column c of B, solved in place.
+        let mut xt = b.transpose();
+        for c in 0..xt.rows() {
+            self.solve_in_place(xt.row_mut(c))?;
         }
-        Ok(out)
+        Ok(xt.transpose())
     }
 }
 

@@ -163,12 +163,6 @@ impl Mat {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copy of column `c`.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        debug_assert!(c < self.cols);
-        (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
     /// Bounds-checked element access returning `None` when out of range.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> Option<f64> {

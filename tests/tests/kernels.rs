@@ -1,14 +1,15 @@
-//! Kernel-equivalence differential suite: the cache-blocked kernels in
-//! `limeqo_linalg::block` and the incremental factor-update path in
-//! `AlsCompleter` against their reference implementations.
+//! Kernel-equivalence differential suite: the cache-blocked and fused
+//! kernels in `limeqo_linalg::block` and the incremental factor-update
+//! path in `AlsCompleter` against their reference implementations.
 //!
 //! Two contracts are pinned here (PERF.md §Kernels):
 //!
-//! 1. **Bit-identity** — the tiled kernels replicate the naive kernels'
-//!    per-element floating-point operation sequence exactly, so any tile
-//!    size at any thread count produces byte-identical output. This is
-//!    what lets `AlsKernel::Blocked` be the default without moving a
-//!    single golden.
+//! 1. **Bit-identity** — the tiled product and the fused ALS half-steps
+//!    replicate the three-pass reference (`par::matmul_t`, the fill, then
+//!    `ridge_solve_rows_blocked` / `ridge_solve_cols`) operation for
+//!    operation, so any tile size at any thread count produces
+//!    byte-identical output. This is what lets `AlsKernel::Blocked` be the
+//!    default without moving a single golden.
 //! 2. **Bounded deviation** — the incremental path (re-solve only dirty
 //!    `Q` rows against retained `H`) is *exactly* the full path when every
 //!    row is dirty, and stays within the documented relative-Frobenius
@@ -23,8 +24,8 @@ use limeqo_core::matrix::WorkloadMatrix;
 use limeqo_core::scenario::PolicySpec;
 use limeqo_linalg::rng::SeededRng;
 use limeqo_linalg::{
-    frobenius_norm, matmul_t_tiled, par, ridge_solve_cols, ridge_solve_cols_tiled,
-    ridge_solve_rows_blocked, ridge_solve_rows_tiled, Mat,
+    cholesky, frobenius_norm, fused_h_step, fused_q_step, lu, matmul_t_tiled, par,
+    ridge_solve_cols, ridge_solve_rows_blocked, Mat, Result,
 };
 use limeqo_sim::scenario::registry;
 use proptest::prelude::*;
@@ -73,6 +74,100 @@ fn fitted_incremental(wm: &WorkloadMatrix, rank: usize, seed: u64) -> AlsComplet
     als
 }
 
+/// Bit-exact view of a kernel result: the output's bits, or the error.
+fn outcome(r: Result<Mat>) -> std::result::Result<Vec<u64>, String> {
+    r.map(|m| bits(&m)).map_err(|e| format!("{e:?}"))
+}
+
+/// One observed cell: a completed latency, or a censored lower bound that
+/// the fill raises the prediction to.
+#[derive(Clone, Copy)]
+enum Obs {
+    Complete(f64),
+    Censored(f64),
+}
+
+/// Observed cells per row, ascending by column, with the fill the ALS
+/// engine applies to `QHᵀ`: completes overwrite, censored bounds above
+/// zero clamp the prediction up.
+struct Cells(Vec<Vec<(usize, Obs)>>);
+
+impl Cells {
+    /// A random observation pattern over `q·hᵀ`: each cell complete,
+    /// censored or unobserved; censored bounds negative, zero, below the
+    /// prediction (ignored) or above it (clamped); every `full_every`-th
+    /// row fully observed.
+    fn random(rng: &mut SeededRng, q: &Mat, h: &Mat, full_every: usize) -> Cells {
+        let pred = q.matmul_t(h).unwrap();
+        let rows = (0..q.rows())
+            .map(|i| {
+                let full = i % full_every == 0;
+                (0..h.rows())
+                    .filter_map(|j| {
+                        let p = pred[(i, j)];
+                        let obs = match rng.index(if full { 2 } else { 3 }) {
+                            0 => Obs::Complete(rng.uniform(0.0, 3.0)),
+                            1 => Obs::Censored(match rng.index(4) {
+                                0 => -rng.uniform(0.0, 1.0),
+                                1 => 0.0,
+                                2 => p * 0.5,
+                                _ => p.abs() * 2.0 + 1.0,
+                            }),
+                            _ => return None,
+                        };
+                        Some((j, obs))
+                    })
+                    .collect()
+            })
+            .collect();
+        Cells(rows)
+    }
+
+    fn fill(&self, row: usize, lo: usize, w: &mut [f64]) {
+        for &(col, obs) in &self.0[row] {
+            if !(lo..lo + w.len()).contains(&col) {
+                continue;
+            }
+            let slot = &mut w[col - lo];
+            match obs {
+                Obs::Complete(v) => *slot = v,
+                Obs::Censored(b) => {
+                    if b > 0.0 && *slot < b {
+                        *slot = b;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The reference `Ŵ`: `par::matmul_t`, then the fill row by row.
+    fn w_hat(&self, q: &Mat, h: &Mat) -> Mat {
+        let mut w = par::matmul_t(q, h, 1).unwrap();
+        for row in 0..w.rows() {
+            self.fill(row, 0, w.row_mut(row));
+        }
+        w
+    }
+}
+
+/// Set roughly `frac` of `m`'s entries to exact zeros of either sign —
+/// the pattern the non-negativity clamp leaves in the factors.
+fn plant_zeros(rng: &mut SeededRng, m: &mut Mat, frac: f64) {
+    for v in m.as_mut_slice() {
+        if rng.chance(frac) {
+            *v = if rng.chance(0.5) { 0.0 } else { -0.0 };
+        }
+    }
+}
+
+/// Make `m` rank-deficient: its last column becomes a copy of its first.
+fn duplicate_first_column(m: &mut Mat) {
+    let last = m.cols() - 1;
+    for i in 0..m.rows() {
+        m[(i, last)] = m[(i, 0)];
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
@@ -102,9 +197,10 @@ proptest! {
         prop_assert_eq!(bits(&par::matmul_t(&a, &b, 4).unwrap()), bits(&naive));
     }
 
-    /// `ridge_solve_rows_tiled` matches `ridge_solve_rows_blocked` on the
-    /// same block partition, bit for bit — including partitions with empty
-    /// and uneven blocks.
+    /// The fused `Q` step matches the three-pass reference (`QHᵀ`, fill,
+    /// `ridge_solve_rows_blocked`) on the same block partition, bit for
+    /// bit — including partitions with empty and uneven blocks. (The `Q`
+    /// step has no tile: it fuses one query row at a time.)
     #[test]
     fn tiled_row_solve_is_bit_identical_to_blocked(
         dims in (2usize..24, 1usize..6, 1usize..30),
@@ -113,28 +209,27 @@ proptest! {
     ) {
         let (m, p, q) = dims;
         let mut rng = SeededRng::new(seed ^ 0x50_1E);
-        let g = rng.uniform_mat(m, p, 0.0, 1.5);
-        let b_rows = rng.uniform_mat(q, m, 0.0, 2.0);
+        let h = rng.uniform_mat(m, p, 0.0, 1.5);
+        let q_mat = rng.uniform_mat(q, p, 0.0, 2.0);
+        let cells = Cells::random(&mut rng, &q_mat, &h, 4);
+        let w_hat = cells.w_hat(&q_mat, &h);
         let split = q / 2;
         for blocks in [vec![(0, q)], vec![(0, split), (split, split), (split, q)]] {
-            let naive = ridge_solve_rows_blocked(&g, &b_rows, lambda, 1, &blocks).unwrap();
-            for tile in TILES {
-                for threads in THREADS {
-                    let tiled =
-                        ridge_solve_rows_tiled(&g, &b_rows, lambda, threads, &blocks, tile)
-                            .unwrap();
-                    prop_assert_eq!(
-                        bits(&tiled), bits(&naive),
-                        "row solve diverged at tile {} threads {}", tile, threads
-                    );
-                }
+            let naive = ridge_solve_rows_blocked(&h, &w_hat, lambda, 1, &blocks).unwrap();
+            for threads in THREADS {
+                let fill = |row: usize, lo: usize, w: &mut [f64]| cells.fill(row, lo, w);
+                let fused = fused_q_step(&q_mat, &h, lambda, threads, &blocks, fill).unwrap();
+                prop_assert_eq!(
+                    bits(&fused), bits(&naive),
+                    "Q step diverged at threads {} blocks {:?}", threads, blocks
+                );
             }
         }
     }
 
-    /// `ridge_solve_cols_tiled` matches `ridge_solve_cols` bit for bit:
-    /// the in-place row-window reads replicate the strided `col_block`
-    /// gather's FP sequence exactly, zero-skip semantics included.
+    /// The fused `H` step matches the three-pass reference (`QHᵀ`, fill,
+    /// `ridge_solve_cols`) bit for bit: the on-the-fly column windows and
+    /// the branchless zero skip replicate the reference's FP sequence.
     #[test]
     fn tiled_col_solve_is_bit_identical_to_naive(
         dims in (2usize..24, 1usize..6, 1usize..16),
@@ -143,21 +238,72 @@ proptest! {
     ) {
         let (m, p, cols) = dims;
         let mut rng = SeededRng::new(seed ^ 0xC0_15);
-        let mut g = rng.uniform_mat(m, p, 0.0, 1.5);
+        let mut q = rng.uniform_mat(m, p, 0.0, 1.5);
         // Plant exact zeros so the skip predicate is exercised.
         if m > 2 {
             for j in 0..p {
-                g[(2, j)] = 0.0;
+                q[(2, j)] = 0.0;
             }
         }
-        let b = rng.uniform_mat(m, cols, 0.0, 2.0);
-        let naive = ridge_solve_cols(&g, &b, lambda, 1).unwrap();
+        let h = rng.uniform_mat(cols, p, 0.0, 2.0);
+        let cells = Cells::random(&mut rng, &q, &h, 4);
+        let naive = ridge_solve_cols(&q, &cells.w_hat(&q, &h), lambda, 1).unwrap();
         for tile in TILES {
             for threads in THREADS {
-                let tiled = ridge_solve_cols_tiled(&g, &b, lambda, threads, tile).unwrap();
+                let fill = |row: usize, lo: usize, w: &mut [f64]| cells.fill(row, lo, w);
+                let fused = fused_h_step(&q, &h, lambda, threads, tile, fill).unwrap();
                 prop_assert_eq!(
-                    bits(&tiled), bits(&naive),
-                    "col solve diverged at tile {} threads {}", tile, threads
+                    bits(&fused), bits(&naive),
+                    "H step diverged at tile {} threads {}", tile, threads
+                );
+            }
+        }
+    }
+
+    /// The fused steps against the three-pass reference on the inputs
+    /// the uniform draws above never reach: exact zeros of both signs in
+    /// both factors (routine after the non-negativity clamp), censored
+    /// bounds at or below zero (ignored) and above the prediction
+    /// (clamped), fully observed rows, fewer rows than threads, ranks on
+    /// both sides of the fixed-width r = 5 instantiation, and λ = 0 on a
+    /// rank-deficient factor — where both sides must take the same LU
+    /// fallback or return the same typed error.
+    #[test]
+    fn fused_steps_match_the_reference_on_edge_cases(
+        dims in (1usize..12, 1usize..12, 1usize..9),
+        zero_frac in 0.0f64..0.6,
+        deficient in 0usize..3,
+        seed in 0u64..1_000,
+    ) {
+        let (n, k, r) = dims;
+        let mut rng = SeededRng::new(seed ^ 0xED6E);
+        let mut q = rng.uniform_mat(n, r, 0.0, 2.0);
+        let mut h = rng.uniform_mat(k, r, 0.0, 2.0);
+        plant_zeros(&mut rng, &mut q, zero_frac);
+        plant_zeros(&mut rng, &mut h, zero_frac);
+        // One case in three: λ = 0 on rank-deficient factors.
+        let lambda = if deficient == 0 && r > 1 {
+            duplicate_first_column(&mut q);
+            duplicate_first_column(&mut h);
+            0.0
+        } else {
+            rng.uniform(0.0, 1.0)
+        };
+        let cells = Cells::random(&mut rng, &q, &h, 3);
+        let w_hat = cells.w_hat(&q, &h);
+        let fill = |row: usize, lo: usize, w: &mut [f64]| cells.fill(row, lo, w);
+        let split = n / 2;
+        let blocks = [(0, split), (split, n)];
+        let want_q = outcome(ridge_solve_rows_blocked(&h, &w_hat, lambda, 1, &blocks));
+        let want_h = outcome(ridge_solve_cols(&q, &w_hat, lambda, 1));
+        for threads in THREADS {
+            let got = outcome(fused_q_step(&q, &h, lambda, threads, &blocks, fill));
+            prop_assert_eq!(&got, &want_q, "Q step diverged at threads {}", threads);
+            for tile in TILES {
+                let got = outcome(fused_h_step(&q, &h, lambda, threads, tile, fill));
+                prop_assert_eq!(
+                    &got, &want_h,
+                    "H step diverged at tile {} threads {}", tile, threads
                 );
             }
         }
@@ -311,8 +457,44 @@ fn sweep_registry_with_incremental(max_rows: usize) {
     assert!(covered >= 3, "expected >= 3 drift-free LimeQoAls scenarios, found {covered}");
 }
 
+/// λ = 0 on a rank-deficient factor: rounding decides whether the normal
+/// matrix still factors by Cholesky, fails over to LU, or is singular. The
+/// fused steps must follow the reference down the same branch every time,
+/// and the sweep must actually reach the LU fallback.
+#[test]
+fn lambda_zero_on_a_rank_deficient_factor_takes_the_same_branch() {
+    let mut lu_fallbacks = 0;
+    for seed in 0..200u64 {
+        let mut rng = SeededRng::new(seed);
+        let r = 2 + rng.index(6);
+        let mut q = rng.uniform_mat(9, r, 0.0, 2.0);
+        let mut h = rng.uniform_mat(7, r, 0.0, 2.0);
+        duplicate_first_column(&mut q);
+        duplicate_first_column(&mut h);
+        let gtg = h.t_matmul(&h).unwrap();
+        if cholesky(&gtg).is_err() && lu(&gtg).is_ok() {
+            lu_fallbacks += 1;
+        }
+        let cells = Cells::random(&mut rng, &q, &h, 3);
+        let w_hat = cells.w_hat(&q, &h);
+        let fill = |row: usize, lo: usize, w: &mut [f64]| cells.fill(row, lo, w);
+        let want = outcome(ridge_solve_rows_blocked(&h, &w_hat, 0.0, 1, &[(0, 9)]));
+        for threads in THREADS {
+            let got = outcome(fused_q_step(&q, &h, 0.0, threads, &[(0, 9)], fill));
+            assert_eq!(got, want, "Q step, seed {seed} threads {threads}");
+        }
+        let want = outcome(ridge_solve_cols(&q, &w_hat, 0.0, 1));
+        for threads in THREADS {
+            let got = outcome(fused_h_step(&q, &h, 0.0, threads, 0, fill));
+            assert_eq!(got, want, "H step, seed {seed} threads {threads}");
+        }
+    }
+    assert!(lu_fallbacks > 0, "no seed reached the LU fallback");
+}
+
 /// Production-sized shapes for the bit-identity contract: panels far
-/// larger than any cache level, deliberately non-divisible by every tile.
+/// larger than any cache level, deliberately non-divisible by every tile,
+/// at the fixed-width rank 5 and the runtime-width rank 7.
 #[test]
 #[ignore = "slow tier: large-shape kernel sweep; run via ./ci.sh --ignored"]
 fn large_shape_kernels_stay_bit_identical() {
@@ -326,23 +508,30 @@ fn large_shape_kernels_stay_bit_identical() {
             assert_eq!(bits(&tiled), bits(&naive), "matmul tile {tile} threads {threads}");
         }
     }
-    let g = rng.uniform_mat(53, 7, 0.0, 1.5);
-    let b_rows = rng.uniform_mat(2_003, 53, 0.0, 2.0);
-    let blocks = [(0usize, 997usize), (997, 2_003)];
-    let naive = ridge_solve_rows_blocked(&g, &b_rows, 0.2, 1, &blocks).unwrap();
-    for tile in [1, 83, 256, 0] {
+    for rank in [5, 7] {
+        let mut q = rng.uniform_mat(2_003, rank, 0.0, 2.0);
+        let mut h = rng.uniform_mat(53, rank, 0.0, 1.5);
+        plant_zeros(&mut rng, &mut q, 0.2);
+        plant_zeros(&mut rng, &mut h, 0.2);
+        let cells = Cells::random(&mut rng, &q, &h, 50);
+        let w_hat = cells.w_hat(&q, &h);
+        let fill = |row: usize, lo: usize, w: &mut [f64]| cells.fill(row, lo, w);
+        let blocks = [(0usize, 997usize), (997, 2_003)];
+        let naive = ridge_solve_rows_blocked(&h, &w_hat, 0.2, 1, &blocks).unwrap();
         for threads in [1, 3, 8] {
-            let tiled = ridge_solve_rows_tiled(&g, &b_rows, 0.2, threads, &blocks, tile).unwrap();
-            assert_eq!(bits(&tiled), bits(&naive), "row solve tile {tile} threads {threads}");
+            let fused = fused_q_step(&q, &h, 0.2, threads, &blocks, fill).unwrap();
+            assert_eq!(bits(&fused), bits(&naive), "Q step rank {rank} threads {threads}");
         }
-    }
-    let g2 = rng.uniform_mat(2_003, 7, 0.0, 1.5);
-    let b2 = rng.uniform_mat(2_003, 53, 0.0, 2.0);
-    let naive = ridge_solve_cols(&g2, &b2, 0.2, 1).unwrap();
-    for tile in [1, 83, 256, 0] {
-        for threads in [1, 3, 8] {
-            let tiled = ridge_solve_cols_tiled(&g2, &b2, 0.2, threads, tile).unwrap();
-            assert_eq!(bits(&tiled), bits(&naive), "col solve tile {tile} threads {threads}");
+        let naive = ridge_solve_cols(&q, &w_hat, 0.2, 1).unwrap();
+        for tile in [1, 83, 256, 0] {
+            for threads in [1, 3, 8] {
+                let fused = fused_h_step(&q, &h, 0.2, threads, tile, fill).unwrap();
+                assert_eq!(
+                    bits(&fused),
+                    bits(&naive),
+                    "H step rank {rank} tile {tile} threads {threads}"
+                );
+            }
         }
     }
 }
