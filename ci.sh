@@ -45,6 +45,24 @@ for f in crates/core/src/persist.rs crates/svc/src/lib.rs; do
   fi
 done
 
+# One probe executor: the Eq. 5 censoring rule (a probe past its timeout
+# is charged the timeout and observed censored) is written once, in
+# limeqo_core::engine::execute_probe, and every engine driver calls it.
+# The grep matches the `censored = … > timeout` form only, so a copy in
+# that form anywhere else in crates/, tests/ or examples/ fails here;
+# other spellings are not caught. BayesQoRunner (the §5.6 baseline, which
+# never talks to the engine) keeps its own inverted copy on purpose.
+echo "==> one probe executor (censoring rule only in execute_probe)"
+rule='censored *= *[^;=]*> *timeout'
+hits=$(grep -rnE "$rule" crates tests examples --include='*.rs' || true)
+allowed=$(awk '/^pub fn execute_probe/{f=1} f{print FILENAME":"FNR":"$0} f&&/^}/{exit}' \
+  crates/core/src/engine.rs | grep -E "$rule" || true)
+if [[ -z "$allowed" || "$hits" != "$allowed" ]]; then
+  echo "ci.sh: the censoring rule must appear exactly once, inside execute_probe; found:" >&2
+  echo "${hits:-<nowhere>}" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -84,9 +102,11 @@ cargo test --offline -q -p limeqo-integration-tests --test kernels
 # tier-1 never builds it): a traced episode reproduces the untraced one bit
 # for bit, the harness round loop equals Explorer::run_until, and the
 # reference clocks. A kernel change that breaks the benchmark's checks
-# fails here, not in the benchmark run.
+# fails here, not in the benchmark run. --locked: a crate-graph change that
+# would rewrite the benchmark's own perfbench/Cargo.lock fails here instead
+# of silently editing that file.
 echo "==> benchmark harness tests (perfbench)"
-cargo test --offline -q --manifest-path perfbench/Cargo.toml
+cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml
 
 # The file corpus under scenarios/ must stay a byte-exact re-expression
 # of the code registry (canonical serializer form, spec-equal,

@@ -4,7 +4,6 @@
 //!   cargo run --release -p limeqo-bench --bin scenario -- --list
 //!   cargo run --release -p limeqo-bench --bin scenario -- --filter online
 //!   cargo run --release -p limeqo-bench --bin scenario -- --scale  # 100k tier
-//!   cargo run --release -p limeqo-bench --bin scenario -- --via-service
 //!   cargo run --release -p limeqo-bench --bin scenario -- --dir scenarios
 //!   cargo run --release -p limeqo-bench --bin scenario -- export scenarios
 //!   cargo run --release -p limeqo-bench --bin scenario -- fuzz --seed 1 --count 8
@@ -25,11 +24,6 @@
 //! runner, and checks the calibrated invariants; failures are minimized
 //! and dumped under `bench-results/fuzz-failures/` for replay.
 //!
-//! `--via-service` does not produce metrics: it replays every selected
-//! scenario twice — once through the legacy harness drivers, once through
-//! the raw engine event API the `limeqo-svc` daemon speaks — and exits
-//! non-zero on the first bitwise trace divergence.
-//!
 //! Prints one table row per scenario and writes
 //! `bench-results/scenarios.json` (array of per-scenario objects) plus
 //! `bench-results/scenarios.csv`. The golden regression suite
@@ -40,7 +34,7 @@ use std::path::{Path, PathBuf};
 
 use limeqo_bench::fuzz::{check_spec, minimize, run_fuzz};
 use limeqo_bench::report::{fmt_secs, write_csv, write_json, Table};
-use limeqo_bench::scenario_runner::{report_json, run_scenarios, verify_scenario_via_engine};
+use limeqo_bench::scenario_runner::{report_json, run_scenarios};
 use limeqo_sim::scenario::{registry, scale_registry};
 use limeqo_sim::scenario_fuzz::generate;
 use limeqo_sim::{load_corpus, load_scenario, to_json_string, to_toml_string};
@@ -59,7 +53,6 @@ fn main() {
 
     let list_only = args.iter().any(|a| a == "--list");
     let scale = args.iter().any(|a| a == "--scale");
-    let via_service = args.iter().any(|a| a == "--via-service");
     let flag_value =
         |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned();
     let filter = flag_value("--filter").unwrap_or_default();
@@ -96,30 +89,6 @@ fn main() {
             ]);
         }
         table.print();
-        return;
-    }
-
-    if via_service {
-        let mut table = Table::new("engine-API equivalence", &["scenario", "policy", "result"]);
-        let mut failed = false;
-        for spec in &specs {
-            let result = verify_scenario_via_engine(spec);
-            table.row(&[
-                spec.name.to_string(),
-                spec.policy.name().to_string(),
-                match &result {
-                    Ok(()) => "OK".to_string(),
-                    Err(msg) => format!("FAIL: {msg}"),
-                },
-            ]);
-            failed |= result.is_err();
-        }
-        table.print();
-        if failed {
-            eprintln!("[scenario] FAIL: engine event API diverged from the harness drivers");
-            std::process::exit(1);
-        }
-        println!("[scenario] via-service: all {} scenarios byte-identical", specs.len());
         return;
     }
 

@@ -32,7 +32,4 @@ pub use harness::{
     WorkloadKind,
 };
 pub use report::{write_csv, write_json, Json, Table};
-pub use scenario_runner::{
-    run_scenario, run_scenarios, verify_scenario_sharded, verify_scenario_via_engine,
-    ScenarioOutcome,
-};
+pub use scenario_runner::{run_scenario, run_scenarios, verify_scenario_sharded, ScenarioOutcome};

@@ -24,8 +24,8 @@ use limeqo_core::matrix::WorkloadMatrix;
 use limeqo_core::policy::{LimeQoPolicy, Policy, PolicyCtx, RandomPolicy};
 use limeqo_core::store::ObservationStore;
 use limeqo_core::{
-    Action, DurableConfig, DurableEngine, Engine, Event, FaultAt, FaultKind, FaultScript,
-    FaultStorage, FsStorage, OpClass,
+    execute_probe, Action, DurableConfig, DurableEngine, Engine, Event, FaultAt, FaultKind,
+    FaultScript, FaultStorage, FsStorage, OpClass,
 };
 use limeqo_linalg::par::auto_threads;
 use limeqo_linalg::rng::SeededRng;
@@ -323,10 +323,7 @@ pub fn run(opts: &PerfOpts) -> Json {
             events += 1;
             for a in actions {
                 if let Action::Probe { row, col, timeout } = a {
-                    let t = probe_truth(row, col);
-                    let censored = t > timeout;
-                    let value = if censored { timeout } else { t };
-                    engine.step(Event::Observation { row, col, value, censored });
+                    engine.step(execute_probe(row, col, timeout, probe_truth(row, col)));
                     events += 1;
                 }
             }
@@ -359,10 +356,8 @@ pub fn run(opts: &PerfOpts) -> Json {
             let actions = de.step(Event::Tick).expect("journal tick");
             for a in actions {
                 if let Action::Probe { row, col, timeout } = a {
-                    let t = probe_truth(row, col);
-                    let censored = t > timeout;
-                    let value = if censored { timeout } else { t };
-                    de.step(Event::Observation { row, col, value, censored }).expect("journal obs");
+                    let obs = execute_probe(row, col, timeout, probe_truth(row, col));
+                    de.step(obs).expect("journal obs");
                 }
             }
         }
@@ -414,10 +409,7 @@ pub fn run(opts: &PerfOpts) -> Json {
                     if seen.insert((row, col)) {
                         engine.step(Event::ProbeFailed { row, col });
                     } else {
-                        let t = probe_truth(row, col);
-                        let censored = t > timeout;
-                        let value = if censored { timeout } else { t };
-                        engine.step(Event::Observation { row, col, value, censored });
+                        engine.step(execute_probe(row, col, timeout, probe_truth(row, col)));
                     }
                 }
             }
@@ -449,10 +441,8 @@ pub fn run(opts: &PerfOpts) -> Json {
         };
         for a in actions {
             if let Action::Probe { row, col, timeout } = a {
-                let t = probe_truth(row, col);
-                let censored = t > timeout;
-                let value = if censored { timeout } else { t };
-                if de_f.step(Event::Observation { row, col, value, censored }).is_err() {
+                let obs = execute_probe(row, col, timeout, probe_truth(row, col));
+                if de_f.step(obs).is_err() {
                     break 'fault;
                 }
             }

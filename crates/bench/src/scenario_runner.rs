@@ -9,7 +9,7 @@
 //! thread scheduling cannot reorder the arithmetic.
 
 use crate::report::Json;
-use limeqo_core::explore::{ExploreConfig, Explorer, MatOracle, Oracle};
+use limeqo_core::explore::{ExploreConfig, Explorer, MatOracle, Oracle, TraceEntry};
 use limeqo_core::online::OnlineExplorer;
 use limeqo_core::scenario::{segment_monotone, PolicySpec};
 use limeqo_linalg::Mat;
@@ -203,13 +203,16 @@ fn build_env(spec: &ScenarioSpec) -> Env {
     Env { oracles, initial_rows, budget }
 }
 
-/// Per-seed offline result.
+/// Per-seed offline result: the summary the golden runner aggregates plus
+/// the full trajectory [`verify_scenario_sharded`] compares bit for bit.
 struct OfflineSeed {
     final_latency: f64,
     cells: usize,
     censored: usize,
     monotone: bool,
     mem_bytes: usize,
+    trace: Vec<TraceEntry>,
+    time_spent: f64,
 }
 
 fn run_offline_seed(spec: &ScenarioSpec, env: &Env, policy: &PolicySpec, seed: u64) -> OfflineSeed {
@@ -256,6 +259,8 @@ fn run_offline_seed(spec: &ScenarioSpec, env: &Env, policy: &PolicySpec, seed: u
         censored: ex.wm().censored_count(),
         monotone,
         mem_bytes: ex.wm().mem_bytes(),
+        trace: ex.trace().to_vec(),
+        time_spent: ex.time_spent(),
     }
 }
 
@@ -440,289 +445,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     outcome
 }
 
-// ---------------------------------------------------------------------------
-// Engine-API equivalence (`scenario --via-service`).
-
-/// One seed's full deterministic trajectory, captured for bitwise
-/// comparison between the legacy harness drivers and the raw engine
-/// event API.
-struct EngineRun {
-    trace: Vec<limeqo_core::TraceEntry>,
-    time_spent: f64,
-    cells: usize,
-    censored: usize,
-    final_latency: f64,
-}
-
-/// The legacy path: [`Explorer`] drives the run (as [`run_offline_seed`]
-/// does), but the exploration trace is kept for comparison.
-fn offline_seed_via_explorer(
-    spec: &ScenarioSpec,
-    env: &Env,
-    policy: &PolicySpec,
-    seed: u64,
-) -> EngineRun {
-    let cfg = ExploreConfig {
-        batch: spec.batch,
-        seed,
-        retention: policy.drift(),
-        max_steps: spec.max_steps,
-        shards: spec.shards,
-        retry: Default::default(),
-        probe_fail_rate: spec.probe_fail_rate,
-        probe_fail_seed: spec.probe_fail_seed,
-    };
-    let mut ex = Explorer::new(&env.oracles[0], policy.build_policy(seed), cfg, env.initial_rows);
-    let mut shift_idx = 1usize;
-    for ev in &spec.drift {
-        ex.run_until(ev.at_frac * env.budget);
-        match ev.kind {
-            DriftKind::AddQueries { count } => ex.add_queries(count),
-            DriftKind::DataShift { .. } => {
-                ex.data_shift(&env.oracles[shift_idx]);
-                shift_idx += 1;
-            }
-        }
-    }
-    ex.run_until(env.budget);
-    EngineRun {
-        trace: ex.trace().to_vec(),
-        time_spent: ex.time_spent(),
-        cells: ex.cells_executed(),
-        censored: ex.wm().censored_count(),
-        final_latency: ex.workload_latency(),
-    }
-}
-
-/// The service path: the same scenario driven through the raw
-/// [`limeqo_core::Engine`] event API — the exact trajectory a `limeqo-svc`
-/// daemon would journal.
-fn offline_seed_via_engine(
-    spec: &ScenarioSpec,
-    env: &Env,
-    policy: &PolicySpec,
-    seed: u64,
-) -> EngineRun {
-    use limeqo_core::engine::data_shift_observations;
-    use limeqo_core::matrix::WorkloadMatrix;
-    use limeqo_core::store::ObservationStore;
-    use limeqo_core::{Action, Engine, Event};
-
-    // Mirrors `Explorer::step` exactly — including the fault draw order
-    // and the idle-tick-through-backoff rule — so the `--via-service`
-    // equivalence check stays bitwise even under injected probe failures.
-    struct FaultKnob {
-        rate: f64,
-        rng: limeqo_linalg::rng::SeededRng,
-    }
-    fn tick(engine: &mut Engine<'_>, oracle: &MatOracle, fault: &mut FaultKnob) -> bool {
-        let actions = engine.step(Event::Tick);
-        if actions.is_empty() {
-            return engine.retry_pending() > 0;
-        }
-        for action in actions {
-            let Action::Probe { row, col, timeout } = action else { continue };
-            if fault.rate > 0.0 && fault.rng.chance(fault.rate) {
-                engine.step(Event::ProbeFailed { row, col });
-                continue;
-            }
-            let truth = oracle.true_latency(row, col);
-            let censored = truth > timeout;
-            let value = if censored { timeout } else { truth };
-            engine.step(Event::Observation { row, col, value, censored });
-        }
-        true
-    }
-    fn run_until(engine: &mut Engine<'_>, oracle: &MatOracle, fault: &mut FaultKnob, budget: f64) {
-        engine.scheduler_mut().start_run();
-        while engine.admit_round(budget) {
-            if !tick(engine, oracle, fault) {
-                break;
-            }
-        }
-    }
-
-    let cfg = ExploreConfig {
-        batch: spec.batch,
-        seed,
-        retention: policy.drift(),
-        max_steps: spec.max_steps,
-        shards: spec.shards,
-        retry: Default::default(),
-        probe_fail_rate: spec.probe_fail_rate,
-        probe_fail_seed: spec.probe_fail_seed,
-    };
-    let mut oracle = &env.oracles[0];
-    let (_, k) = oracle.shape();
-    let defaults: Vec<f64> = (0..env.initial_rows)
-        .map(|i| oracle.true_latency(i, WorkloadMatrix::DEFAULT_HINT))
-        .collect();
-    let store = ObservationStore::with_defaults_sharded(&defaults, k, spec.shards);
-    let mut engine = Engine::offline(store, policy.build_policy(seed), oracle.est_cost(), &cfg);
-    let mut fault = FaultKnob { rate: cfg.probe_fail_rate, rng: cfg.fault_rng() };
-    let mut active_rows = env.initial_rows;
-    let mut shift_idx = 1usize;
-    for ev in &spec.drift {
-        run_until(&mut engine, oracle, &mut fault, ev.at_frac * env.budget);
-        match ev.kind {
-            DriftKind::AddQueries { count } => {
-                let new_active = (active_rows + count).min(oracle.shape().0);
-                let defaults: Vec<f64> = (active_rows..new_active)
-                    .map(|i| oracle.true_latency(i, WorkloadMatrix::DEFAULT_HINT))
-                    .collect();
-                engine.step(Event::AddQueries { defaults });
-                active_rows = new_active;
-            }
-            DriftKind::DataShift { .. } => {
-                let new_oracle = &env.oracles[shift_idx];
-                shift_idx += 1;
-                let wm = engine.wm();
-                let n = wm.n_rows().min(new_oracle.shape().0);
-                let observations = data_shift_observations(wm, engine.retention(), n, |r, c| {
-                    new_oracle.true_latency(r, c)
-                });
-                oracle = new_oracle;
-                engine.set_est_cost(oracle.est_cost());
-                engine.step(Event::DataShift { new_rows: n, observations });
-                active_rows = n;
-            }
-        }
-    }
-    let _ = active_rows;
-    run_until(&mut engine, oracle, &mut fault, env.budget);
-    let wm = engine.wm();
-    let final_latency = (0..wm.n_rows())
-        .filter_map(|i| wm.row_best(i).map(|(col, _)| oracle.true_latency(i, col)))
-        .sum();
-    EngineRun {
-        trace: engine.trace().to_vec(),
-        time_spent: engine.time_spent(),
-        cells: engine.cells_executed(),
-        censored: wm.censored_count(),
-        final_latency,
-    }
-}
-
-/// The service path for an online scenario: `Arrival`/`Observation` events
-/// against a raw online engine. Returns the stats plus the same derived
-/// cell counts [`run_online_seed`] reports.
-fn online_seed_via_engine(
-    spec: &ScenarioSpec,
-    env: &Env,
-    seed: u64,
-) -> (limeqo_core::online::OnlineStats, usize, usize) {
-    use limeqo_core::matrix::WorkloadMatrix;
-    use limeqo_core::store::ObservationStore;
-    use limeqo_core::{Action, Engine, Event};
-
-    let oracle = &env.oracles[0];
-    let mut cfg = spec.policy.online_config(seed).expect("online policy spec");
-    cfg.shards = spec.shards;
-    let (n, k) = oracle.shape();
-    let defaults: Vec<f64> =
-        (0..n).map(|i| oracle.true_latency(i, WorkloadMatrix::DEFAULT_HINT)).collect();
-    let store = ObservationStore::with_defaults_sharded(&defaults, k, spec.shards);
-    let mut engine = Engine::online(store, spec.policy.build_completer(seed), &cfg);
-    let trace = spec.arrivals.as_ref().expect("online scenario has arrivals").trace(n, seed);
-    for &row in &trace {
-        let actions = engine.step(Event::Arrival { row });
-        for action in actions {
-            if let Action::Probe { row, col, timeout } = action {
-                let truth = oracle.true_latency(row, col);
-                let censored = truth > timeout;
-                let value = if censored { timeout } else { truth };
-                engine.step(Event::Observation { row, col, value, censored });
-            }
-        }
-    }
-    let cells = engine.wm().complete_count() - n + engine.stats().cancelled;
-    (engine.stats().clone(), cells, engine.wm().censored_count())
-}
-
-/// Bitwise comparison of two [`EngineRun`] trajectories: the full trace
-/// (row, column, charged-time bits, censored flag) plus the clock, cell
-/// counts, and final workload latency. `labels` names the two sides in
-/// the error message.
-fn compare_engine_runs(
-    name: &str,
-    seed: u64,
-    a: &EngineRun,
-    b: &EngineRun,
-    labels: (&str, &str),
-) -> Result<(), String> {
-    let (la, lb) = labels;
-    if a.trace.len() != b.trace.len() {
-        return Err(format!(
-            "{name} seed {seed}: trace length diverges ({la} {} vs {lb} {})",
-            a.trace.len(),
-            b.trace.len()
-        ));
-    }
-    for (i, (x, y)) in a.trace.iter().zip(b.trace.iter()).enumerate() {
-        let same = x.row == y.row
-            && x.col == y.col
-            && x.charged.to_bits() == y.charged.to_bits()
-            && x.censored == y.censored;
-        if !same {
-            return Err(format!(
-                "{name} seed {seed}: trace entry {i} diverges ({la} {x:?} vs {lb} {y:?})"
-            ));
-        }
-    }
-    let checks = [
-        ("time_spent", a.time_spent, b.time_spent),
-        ("cells", a.cells as f64, b.cells as f64),
-        ("censored", a.censored as f64, b.censored as f64),
-        ("final_latency", a.final_latency, b.final_latency),
-    ];
-    for (what, x, y) in checks {
-        if x.to_bits() != y.to_bits() {
-            return Err(format!("{name} seed {seed}: {what} diverges ({la} {x} vs {lb} {y})"));
-        }
-    }
-    Ok(())
-}
-
-/// Drive every seed of `spec` twice — once through the legacy harness
-/// drivers, once through the raw engine event API — and fail on the first
-/// bitwise divergence. This is the refactor's equivalence oath: the
-/// service hosts the *same* exploration, not an approximation of it.
-pub fn verify_scenario_via_engine(spec: &ScenarioSpec) -> Result<(), String> {
-    spec.validate();
-    let env = build_env(spec);
-    for &seed in &spec.seeds {
-        if spec.policy.is_online() {
-            let legacy = run_online_seed(spec, &env, seed);
-            let (stats, cells, censored) = online_seed_via_engine(spec, &env, seed);
-            let l = &legacy.stats;
-            let pairs = [
-                ("arrivals", l.arrivals as f64, stats.arrivals as f64),
-                ("explored", l.explored as f64, stats.explored as f64),
-                ("wins", l.wins as f64, stats.wins as f64),
-                ("cancelled", l.cancelled as f64, stats.cancelled as f64),
-                ("total_latency", l.total_latency, stats.total_latency),
-                ("default_latency", l.default_latency, stats.default_latency),
-                ("incumbent_latency", l.incumbent_latency, stats.incumbent_latency),
-                ("cells", legacy.cells as f64, cells as f64),
-                ("censored", legacy.censored as f64, censored as f64),
-            ];
-            for (what, a, b) in pairs {
-                if a.to_bits() != b.to_bits() {
-                    return Err(format!(
-                        "{} seed {seed}: {what} diverges (harness {a} vs engine {b})",
-                        spec.name
-                    ));
-                }
-            }
-        } else {
-            let a = offline_seed_via_explorer(spec, &env, &spec.policy, seed);
-            let b = offline_seed_via_engine(spec, &env, &spec.policy, seed);
-            compare_engine_runs(&spec.name, seed, &a, &b, ("harness", "engine"))?;
-        }
-    }
-    Ok(())
-}
-
 /// The sharded-equivalence oath: run every seed of `spec` once with the
 /// unsharded workload matrix and once partitioned into `shards` shards,
 /// and fail on the first bitwise divergence — trace entries, clocks,
@@ -739,11 +461,17 @@ pub fn verify_scenario_sharded(spec: &ScenarioSpec, shards: usize) -> Result<(),
     // layout, so it is built once and shared by both sides.
     let env = build_env(spec);
     for &seed in &spec.seeds {
-        if spec.policy.is_online() {
+        let diverged = |what: &str, x: String, y: String| {
+            Err(format!(
+                "{} seed {seed}: {what} diverges (1 shard {x} vs {shards} shards {y})",
+                spec.name
+            ))
+        };
+        let pairs = if spec.policy.is_online() {
             let a = run_online_seed(&base, &env, seed);
             let b = run_online_seed(&split, &env, seed);
             let (sa, sb) = (&a.stats, &b.stats);
-            let pairs = [
+            vec![
                 ("arrivals", sa.arrivals as f64, sb.arrivals as f64),
                 ("explored", sa.explored as f64, sb.explored as f64),
                 ("wins", sa.wins as f64, sb.wins as f64),
@@ -755,19 +483,38 @@ pub fn verify_scenario_sharded(spec: &ScenarioSpec, shards: usize) -> Result<(),
                 ("final_latency", a.final_latency, b.final_latency),
                 ("cells", a.cells as f64, b.cells as f64),
                 ("censored", a.censored as f64, b.censored as f64),
-            ];
-            for (what, x, y) in pairs {
-                if x.to_bits() != y.to_bits() {
-                    return Err(format!(
-                        "{} seed {seed}: {what} diverges (1 shard {x} vs {shards} shards {y})",
-                        spec.name
-                    ));
+            ]
+        } else {
+            let a = run_offline_seed(&base, &env, &spec.policy, seed);
+            let b = run_offline_seed(&split, &env, &spec.policy, seed);
+            if a.trace.len() != b.trace.len() {
+                return diverged(
+                    "trace length",
+                    a.trace.len().to_string(),
+                    b.trace.len().to_string(),
+                );
+            }
+            let bits = |t: &TraceEntry| (t.row, t.col, t.charged.to_bits(), t.censored);
+            for (i, (x, y)) in a.trace.iter().zip(b.trace.iter()).enumerate() {
+                if bits(x) != bits(y) {
+                    return diverged(
+                        &format!("trace entry {i}"),
+                        format!("{x:?}"),
+                        format!("{y:?}"),
+                    );
                 }
             }
-        } else {
-            let a = offline_seed_via_explorer(&base, &env, &spec.policy, seed);
-            let b = offline_seed_via_explorer(&split, &env, &spec.policy, seed);
-            compare_engine_runs(&spec.name, seed, &a, &b, ("1 shard", "sharded"))?;
+            vec![
+                ("time_spent", a.time_spent, b.time_spent),
+                ("cells", a.cells as f64, b.cells as f64),
+                ("censored", a.censored as f64, b.censored as f64),
+                ("final_latency", a.final_latency, b.final_latency),
+            ]
+        };
+        for (what, x, y) in pairs {
+            if x.to_bits() != y.to_bits() {
+                return diverged(what, x.to_string(), y.to_string());
+            }
         }
     }
     Ok(())

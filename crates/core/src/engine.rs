@@ -17,7 +17,9 @@
 //! time budgets). Drivers execute [`Action::Probe`] directives against
 //! whatever runs queries for them (a [`crate::explore::MatOracle`] in the
 //! harnesses, a real DBMS in a deployment) and feed the results back as
-//! [`Event::Observation`]s.
+//! [`Event::Observation`]s built by [`execute_probe`], the one place the
+//! paper's time accounting (Eq. 3 + Eq. 5) turns a latency into an
+//! observation.
 //!
 //! Determinism contract: the engine is a deterministic function of its
 //! initial state and the event sequence. Two engines built identically and
@@ -41,9 +43,10 @@ use crate::store::{DriftPolicy, ObservationStore};
 use limeqo_linalg::rng::SeededRng;
 use limeqo_linalg::Mat;
 
-/// An input to the engine. Mutating events (everything except
-/// [`Event::HintRequest`]) are exactly what the durability journal records:
-/// replaying them against a snapshot reproduces the engine bit for bit.
+/// An input to the engine. Every event is exactly what the durability
+/// journal records: replaying them against a snapshot reproduces the
+/// engine bit for bit. Reads (a query's current best hint) are not events;
+/// they go straight to [`Engine::wm`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// Timer tick: ask the policy for the next offline probe batch
@@ -90,28 +93,30 @@ pub enum Event {
     /// not even a censored bound, came back. The engine schedules a
     /// bounded retry with deterministic exponential backoff (counted in
     /// ticks, see [`RetryPolicy`]); an online gamble falls back to its
-    /// incumbent immediately. Journaled like any other mutating event so
-    /// recovery replays the same retry schedule bit for bit.
+    /// incumbent immediately. Journaled like any other event so recovery
+    /// replays the same retry schedule bit for bit.
     ProbeFailed {
         /// Query (row) whose probe failed.
         row: usize,
         /// Hint (column) whose probe failed.
         col: usize,
     },
-    /// Read-only request for the current best hint of a query. Never
-    /// journaled: it mutates nothing, not even the RNG.
-    HintRequest {
-        /// Query (row) to recommend for.
-        row: usize,
-    },
 }
 
-impl Event {
-    /// Whether the event leaves the engine state untouched (and therefore
-    /// needs no journal record).
-    pub fn is_read_only(&self) -> bool {
-        matches!(self, Event::HintRequest { .. })
-    }
+/// Execute a probe of cell (`row`, `col`) under timeout τ = `timeout`,
+/// given the cell's true latency: the paper's time accounting (Eq. 3 +
+/// Eq. 5) as one [`Event::Observation`]. A probe that runs past τ is
+/// cancelled there, so it is charged τ and becomes a censored lower
+/// bound; one that finishes within τ (including exactly at τ) is charged
+/// its latency and observed complete. Every driver — the harnesses, the
+/// service, the benches and the tests — builds its observations here.
+///
+/// A non-finite `truth` is passed through unchanged, so the engine's
+/// non-finite guard turns it into a probe failure.
+pub fn execute_probe(row: usize, col: usize, timeout: f64, truth: f64) -> Event {
+    let censored = truth > timeout;
+    let value = if censored { timeout } else { truth };
+    Event::Observation { row, col, value, censored }
 }
 
 /// An output directive. The engine never talks to an oracle or a DBMS —
@@ -377,7 +382,6 @@ impl<'a> Engine<'a> {
                 self.on_data_shift(new_rows, &observations)
             }
             Event::ProbeFailed { row, col } => self.on_probe_failed(row, col),
-            Event::HintRequest { row } => self.on_hint_request(row),
         }
     }
 
@@ -638,13 +642,6 @@ impl<'a> Engine<'a> {
         Vec::new()
     }
 
-    fn on_hint_request(&self, row: usize) -> Vec<Action> {
-        match self.store.matrix().row_best(row) {
-            Some((col, latency)) => vec![Action::Recommend { row, col, latency }],
-            None => Vec::new(),
-        }
-    }
-
     /// Offline admission helper for drivers: combines the scheduler's
     /// per-run cap with the time budget.
     pub fn admit_round(&mut self, budget: f64) -> bool {
@@ -739,54 +736,24 @@ impl<'a> Engine<'a> {
     pub fn set_est_cost(&mut self, est_cost: Option<&'a Mat>) {
         self.est_cost = est_cost;
     }
-
-    /// The drift-retention configuration.
-    pub fn retention(&self) -> &DriftPolicy {
-        &self.retention
-    }
 }
 
 /// Build the online re-measurement list for a data shift, in the exact
 /// order the legacy harness observed them: per row, the default plan, then
-/// the cached best hint (if distinct). With
-/// [`DriftPolicy::reverify_runner_up`] set (and retention active), the best
-/// *surviving* stale completed plan — the row's strongest value-prior after
-/// the cached best — is also re-measured, so it re-enters the matrix as a
-/// fresh observation instead of waiting for offline re-probing.
+/// the cached best hint (if distinct).
 ///
 /// `probe(row, col)` measures a cell against the *new* data.
 pub fn data_shift_observations(
     wm: &WorkloadMatrix,
-    retention: &DriftPolicy,
     new_rows: usize,
     probe: impl Fn(usize, usize) -> f64,
 ) -> Vec<(usize, usize, f64)> {
-    let same_rows = new_rows == wm.n_rows();
-    let reverify = retention.retain_priors && retention.reverify_runner_up && same_rows;
     let mut obs = Vec::new();
     for i in 0..new_rows {
-        let best = wm.row_best(i).map(|(c, _)| c);
         obs.push((i, WorkloadMatrix::DEFAULT_HINT, probe(i, WorkloadMatrix::DEFAULT_HINT)));
-        if let Some(b) = best {
+        if let Some((b, _)) = wm.row_best(i) {
             if b != WorkloadMatrix::DEFAULT_HINT {
                 obs.push((i, b, probe(i, b)));
-            }
-        }
-        if reverify {
-            let mut runner: Option<(usize, f64)> = None;
-            for &col32 in wm.observed_cols(i) {
-                let c = col32 as usize;
-                if c == WorkloadMatrix::DEFAULT_HINT || Some(c) == best {
-                    continue;
-                }
-                if let Cell::Complete(v) = wm.cell(i, c) {
-                    if runner.map_or(true, |(_, rv)| v < rv) {
-                        runner = Some((c, v));
-                    }
-                }
-            }
-            if let Some((c, _)) = runner {
-                obs.push((i, c, probe(i, c)));
             }
         }
     }
@@ -862,6 +829,27 @@ mod tests {
         assert_eq!(e.wm().cell(row, col), Cell::Unobserved);
         assert_eq!((e.time_spent(), e.cells_executed()), (spent, cells));
         assert!(e.trace().is_empty());
+    }
+
+    #[test]
+    fn execute_probe_censors_strictly_past_the_timeout() {
+        let obs =
+            |value: f64, censored: bool| Event::Observation { row: 1, col: 2, value, censored };
+        assert_eq!(execute_probe(1, 2, 4.0, 3.5), obs(3.5, false));
+        // The rule is a strict `>`: finishing exactly at τ is a completion.
+        assert_eq!(execute_probe(1, 2, 4.0, 4.0), obs(4.0, false));
+        assert_eq!(execute_probe(1, 2, 4.0, 9.0), obs(4.0, true));
+
+        // A NaN latency is not censored and not clamped: it reaches the
+        // engine's non-finite guard, which records a probe failure.
+        let mut e = offline_engine(RetryPolicy::default());
+        let (row, col, timeout) = first_probe(&e.step(Event::Tick)).expect("batch of 1");
+        let nan = execute_probe(row, col, timeout, f64::NAN);
+        assert!(matches!(nan, Event::Observation { value, censored: false, .. } if value.is_nan()));
+        e.step(nan);
+        assert_eq!((e.probe_failures(), e.retry_pending()), (1, 1));
+        assert_eq!(e.wm().cell(row, col), Cell::Unobserved);
+        assert_eq!((e.time_spent(), e.cells_executed()), (0.0, 0));
     }
 
     #[test]

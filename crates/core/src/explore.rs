@@ -2,10 +2,11 @@
 //!
 //! Time accounting follows Eq. 3 + Eq. 5: executing cell (i,j) with timeout
 //! τ advances the offline clock by `min(true latency, τ)`; a timed-out cell
-//! becomes *censored* at bound τ. The policy's own computation (matrix
-//! completion / TCNN training + inference) is metered in wall-clock seconds
-//! — that is the "overhead" of Figs. 7 and 13, kept separate from the
-//! simulated exploration clock exactly as the paper separates them.
+//! becomes *censored* at bound τ (see [`crate::engine::execute_probe`]).
+//! The policy's own computation (matrix completion / TCNN training +
+//! inference) is metered in wall-clock seconds — that is the "overhead" of
+//! Figs. 7 and 13, kept separate from the simulated exploration clock
+//! exactly as the paper separates them.
 //!
 //! The harness also implements the two dynamic events the paper studies:
 //!
@@ -20,11 +21,12 @@
 //!   the drift-aware path demotes them to censored priors (see
 //!   [`crate::store`]).
 
-use crate::engine::{data_shift_observations, Action, Engine, Event};
+use crate::engine::{data_shift_observations, execute_probe, Action, Engine, Event};
 use crate::matrix::WorkloadMatrix;
 use crate::metrics::{Curve, CurvePoint};
 use crate::policy::Policy;
 use crate::store::{DriftPolicy, ObservationStore};
+use limeqo_linalg::rng::SeededRng;
 use limeqo_linalg::Mat;
 
 /// Source of ground-truth latencies. Implementations: [`MatOracle`]
@@ -139,17 +141,6 @@ pub struct ExploreConfig {
     pub probe_fail_seed: u64,
 }
 
-impl ExploreConfig {
-    /// The deterministic RNG stream probe-fault injection draws from —
-    /// separate from the policy stream, and derived identically by every
-    /// driver (harness and raw-engine) so their trajectories agree.
-    pub fn fault_rng(&self) -> limeqo_linalg::rng::SeededRng {
-        limeqo_linalg::rng::SeededRng::new(
-            self.seed ^ self.probe_fail_seed.rotate_left(17) ^ 0xFA17_1CED,
-        )
-    }
-}
-
 impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
@@ -201,7 +192,7 @@ pub struct Explorer<'a> {
     /// Injected probe-failure probability (chaos knob; 0 = off).
     probe_fail_rate: f64,
     /// Dedicated stream for fault placement; never drawn at rate 0.
-    fault_rng: limeqo_linalg::rng::SeededRng,
+    fault_rng: SeededRng,
 }
 
 impl<'a> Explorer<'a> {
@@ -223,7 +214,9 @@ impl<'a> Explorer<'a> {
         let store = ObservationStore::with_defaults_sharded(&defaults, k, cfg.shards);
         let name = policy.name().to_string();
         let probe_fail_rate = cfg.probe_fail_rate;
-        let fault_rng = cfg.fault_rng();
+        // Fault placement draws from its own stream, never the policy's.
+        let fault_rng =
+            SeededRng::new(cfg.seed ^ cfg.probe_fail_seed.rotate_left(17) ^ 0xFA17_1CED);
         let engine = Engine::offline(store, policy, oracle.est_cost(), &cfg);
         let mut explorer = Explorer {
             oracle,
@@ -315,10 +308,7 @@ impl<'a> Explorer<'a> {
                 continue;
             }
             let truth = self.oracle.true_latency(row, col);
-            let censored = truth > timeout;
-            // Timed out: charge the timeout, learn the lower bound.
-            let value = if censored { timeout } else { truth };
-            self.engine.step(Event::Observation { row, col, value, censored });
+            self.engine.step(execute_probe(row, col, timeout, truth));
         }
         self.record_point();
         true
@@ -369,9 +359,7 @@ impl<'a> Explorer<'a> {
         let n = wm.n_rows().min(new_oracle.shape().0);
         // Measure the online re-observations (default + cached best per
         // row, legacy order) against the new data before the store moves.
-        let observations = data_shift_observations(wm, self.engine.retention(), n, |r, c| {
-            new_oracle.true_latency(r, c)
-        });
+        let observations = data_shift_observations(wm, n, |r, c| new_oracle.true_latency(r, c));
         self.oracle = new_oracle;
         self.engine.set_est_cost(new_oracle.est_cost());
         self.engine.step(Event::DataShift { new_rows: n, observations });
@@ -405,7 +393,6 @@ impl<'a> Explorer<'a> {
 mod tests {
     use super::*;
     use crate::policy::{GreedyPolicy, LimeQoPolicy, RandomPolicy};
-    use limeqo_linalg::rng::SeededRng;
 
     /// A small synthetic oracle: low-rank latencies, default column worst.
     fn toy_oracle(n: usize, k: usize, seed: u64) -> MatOracle {

@@ -64,7 +64,7 @@ pub mod select;
 pub mod store;
 
 pub use complete::{AlsCompleter, Completer, NucCompleter, SvtCompleter};
-pub use engine::{Action, AdmissionScheduler, Engine, Event, RetryPolicy};
+pub use engine::{execute_probe, Action, AdmissionScheduler, Engine, Event, RetryPolicy};
 pub use explore::{ExploreConfig, Explorer, MatOracle, Oracle, TraceEntry};
 pub use fault::{
     FaultAt, FaultKind, FaultProbe, FaultScript, FaultStorage, FsStorage, OpClass, ScriptedFault,

@@ -15,7 +15,7 @@
 //! the workload matrix for free.
 
 use crate::complete::Completer;
-use crate::engine::{Action, Engine, Event};
+use crate::engine::{execute_probe, Action, Engine, Event};
 use crate::explore::Oracle;
 use crate::matrix::WorkloadMatrix;
 use crate::store::ObservationStore;
@@ -143,9 +143,7 @@ impl<'a> OnlineExplorer<'a> {
                 Action::Probe { row, col, timeout } => {
                     // Execute the gamble under the ρ-bounded budget.
                     let truth = self.oracle.true_latency(row, col);
-                    let censored = truth > timeout;
-                    let value = if censored { timeout } else { truth };
-                    let follow = self.engine.step(Event::Observation { row, col, value, censored });
+                    let follow = self.engine.step(execute_probe(row, col, timeout, truth));
                     for f in follow {
                         if let Action::Recommend { latency, .. } = f {
                             experienced = Some(latency);

@@ -4,7 +4,7 @@
 //! state and its input events, so durability is state-machine replication
 //! against the local disk:
 //!
-//! * every mutating [`Event`] is appended to a *journal* (write-ahead: the
+//! * every [`Event`] is appended to a *journal* (write-ahead: the
 //!   record is written and flushed before the event is applied),
 //! * periodically the *full* engine state — store, model state, RNG
 //!   position, clock, trace, pending probes — is written to a *snapshot*,
@@ -305,7 +305,7 @@ impl<'a> Dec<'a> {
 // ---------------------------------------------------------------------------
 // Event codec (journal record bodies).
 
-/// Encode a mutating event as a journal record body.
+/// Encode an event as a journal record body.
 pub fn encode_event(event: &Event) -> String {
     let mut e = Enc::new();
     match event {
@@ -343,7 +343,6 @@ pub fn encode_event(event: &Event) -> String {
             e.i(*row);
             e.i(*col);
         }
-        Event::HintRequest { .. } => unreachable!("read-only events are never journaled"),
     }
     e.finish()
 }
@@ -873,7 +872,7 @@ impl<'a> DurableEngine<'a> {
         &self.engine
     }
 
-    /// Total mutating events applied since the directory was created.
+    /// Total events applied since the directory was created.
     pub fn event_index(&self) -> u64 {
         self.event_index
     }
@@ -892,15 +891,11 @@ impl<'a> DurableEngine<'a> {
         self.last_persist_error.as_deref()
     }
 
-    /// Journal (write-ahead) and apply one event. Read-only events bypass
-    /// the journal entirely. On `Err` the event has **not** been applied:
-    /// a failed append returns [`PersistError::Io`] and poisons the
-    /// journal; further calls return [`PersistError::Poisoned`] until
-    /// [`DurableEngine::rearm`] succeeds.
+    /// Journal (write-ahead) and apply one event. On `Err` the event has
+    /// **not** been applied: a failed append returns [`PersistError::Io`]
+    /// and poisons the journal; further calls return
+    /// [`PersistError::Poisoned`] until [`DurableEngine::rearm`] succeeds.
     pub fn step(&mut self, event: Event) -> Result<Vec<Action>> {
-        if event.is_read_only() {
-            return Ok(self.engine.step(event));
-        }
         if self.poisoned {
             return Err(PersistError::Poisoned(
                 self.last_persist_error.clone().unwrap_or_else(|| "journal poisoned".into()),
@@ -939,9 +934,6 @@ impl<'a> DurableEngine<'a> {
     /// [`DurableEngine::rearm`] is attempted automatically. Returns the
     /// engine's actions and whether this step re-armed durability.
     pub fn step_degraded(&mut self, event: Event) -> (Vec<Action>, bool) {
-        if event.is_read_only() {
-            return (self.engine.step(event), false);
-        }
         // Bypassing the journal makes the current segment incomplete by
         // definition, even if the caller degraded for another reason.
         self.poisoned = true;
@@ -1094,9 +1086,7 @@ mod tests {
     }
 
     fn observe(truth: &Mat, row: usize, col: usize, timeout: f64) -> Event {
-        let t = truth[(row, col)];
-        let censored = t > timeout;
-        Event::Observation { row, col, value: if censored { timeout } else { t }, censored }
+        crate::engine::execute_probe(row, col, timeout, truth[(row, col)])
     }
 
     fn feed_plain(engine: &mut Engine<'_>, truth: &Mat, actions: Vec<Action>) {

@@ -120,15 +120,6 @@ pub struct DriftPolicy {
     /// scenario matrix); it earns its keep in post-shift recovery, where
     /// the retained hint-side structure matters more than init diversity.
     pub warm_start: bool,
-    /// On a data shift with retention, also re-measure each row's best
-    /// *surviving* stale completed plan (the strongest value-prior after
-    /// the cached best) on the online path, so it re-enters the matrix as
-    /// a fresh observation instead of waiting for offline re-probing. Off
-    /// by default: measured on the 16-seed `data-shift-retained` mean it
-    /// helps, but not enough to pay (see ROADMAP) — final latency improves
-    /// only 0.06 %, closing ~4 % of the residual vs Random, while every
-    /// shift now costs one extra online re-measurement per row.
-    pub reverify_runner_up: bool,
 }
 
 impl Default for DriftPolicy {
@@ -139,7 +130,6 @@ impl Default for DriftPolicy {
             density_gate: 0.12,
             cold_row_bonus: 0.0,
             warm_start: false,
-            reverify_runner_up: false,
         }
     }
 }
@@ -154,7 +144,6 @@ impl DriftPolicy {
             density_gate: 0.0,
             cold_row_bonus: 0.0,
             warm_start: false,
-            reverify_runner_up: false,
         }
     }
 }

@@ -877,7 +877,6 @@ pub fn registry() -> Vec<ScenarioSpec> {
                     density_gate: 0.12,
                     cold_row_bonus: 0.25,
                     warm_start: true,
-                    reverify_runner_up: false,
                 },
             },
             budget_multiple: 6.0,

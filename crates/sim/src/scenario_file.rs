@@ -1136,14 +1136,7 @@ impl<'a> Dec<'a> {
         let fields = self.obj(v, p)?;
         self.no_unknown(
             fields,
-            &[
-                "retain_priors",
-                "prior_decay",
-                "density_gate",
-                "cold_row_bonus",
-                "warm_start",
-                "reverify_runner_up",
-            ],
+            &["retain_priors", "prior_decay", "density_gate", "cold_row_bonus", "warm_start"],
             p,
         )?;
         let q = |key: &str| format!("{p}.{key}");
@@ -1155,8 +1148,6 @@ impl<'a> Dec<'a> {
             cold_row_bonus: self
                 .f64(self.req(v, fields, "cold_row_bonus", p)?, &q("cold_row_bonus"))?,
             warm_start: self.bool(self.req(v, fields, "warm_start", p)?, &q("warm_start"))?,
-            reverify_runner_up: self
-                .bool(self.req(v, fields, "reverify_runner_up", p)?, &q("reverify_runner_up"))?,
         })
     }
 
@@ -1489,7 +1480,6 @@ fn spec_to_node(spec: &ScenarioSpec) -> Node {
                         ("density_gate", num(drift.density_gate)),
                         ("cold_row_bonus", num(drift.cold_row_bonus)),
                         ("warm_start", Node::Bool(drift.warm_start)),
-                        ("reverify_runner_up", Node::Bool(drift.reverify_runner_up)),
                     ]),
                 ),
                 ("incremental", Node::Bool(*incremental)),

@@ -4,10 +4,11 @@
 //! newline-delimited JSON protocol (one request object per line on stdin,
 //! one response object per line on stdout) with durable state through
 //! [`limeqo_core::persist`]: every mutating request is journaled before it
-//! is applied, snapshots are taken periodically, and restarting the daemon
-//! on an existing state directory resumes the exploration bit-identically
-//! from the kill point — including re-executing probes that were in flight
-//! when the process died.
+//! is applied (`hint`, `status` and `trace` are plain reads of the
+//! in-memory engine and journal nothing), snapshots are taken
+//! periodically, and restarting the daemon on an existing state directory
+//! resumes the exploration bit-identically from the kill point — including
+//! re-executing probes that were in flight when the process died.
 //!
 //! The service explores a *simulated* workload: a deterministic synthetic
 //! low-rank latency oracle derived from the `init` request's seed (the
@@ -60,7 +61,7 @@ use limeqo_core::matrix::WorkloadMatrix;
 use limeqo_core::persist::{DurableConfig, DurableEngine, PersistError};
 use limeqo_core::policy::LimeQoPolicy;
 use limeqo_core::store::ObservationStore;
-use limeqo_core::{Action, Engine, Event, FsStorage, Storage};
+use limeqo_core::{execute_probe, Action, Engine, Event, FsStorage, Storage};
 use limeqo_linalg::rng::SeededRng;
 use limeqo_linalg::Mat;
 
@@ -330,10 +331,7 @@ impl Service {
     }
 
     fn observe(&mut self, row: usize, col: usize, timeout: f64) {
-        let truth = self.truth[(row, col)];
-        let censored = truth > timeout;
-        let value = if censored { timeout } else { truth };
-        self.durable_step(Event::Observation { row, col, value, censored });
+        self.durable_step(execute_probe(row, col, timeout, self.truth[(row, col)]));
     }
 
     /// Run one exploration round: journal the tick, execute every probe
@@ -401,13 +399,14 @@ impl Service {
                 if row >= self.cfg.n {
                     return Err(format!("hint: row {row} out of range"));
                 }
-                let actions = self.durable_step(Event::HintRequest { row });
-                match actions.first() {
-                    Some(&Action::Recommend { col, latency, .. }) => Ok(ok(vec![
+                // A plain read: nothing is journaled, so a hint serves the
+                // same way whether or not the daemon is degraded.
+                match self.engine().wm().row_best(row) {
+                    Some((col, latency)) => Ok(ok(vec![
                         ("col".into(), Json::Num(col as f64)),
                         ("latency".into(), Json::Num(latency)),
                     ])),
-                    _ => Err(format!("hint: row {row} has no verified plan yet")),
+                    None => Err(format!("hint: row {row} has no verified plan yet")),
                 }
             }
             "status" => {
