@@ -130,7 +130,7 @@ if [[ "$FAST" == "0" ]]; then
   # subsystem's metric keys must actually land in the emitted document
   # (a silently dropped emitter line would otherwise only fail in-process
   # tests, not the committed-trajectory workflow).
-  for key in policy.sample_s policy.topk_s \
+  for key in isa policy.sample_s policy.topk_s \
     als.blocked_s als.block_speedup als.incremental_s \
     shard.select_s shard.merge_s shard.als_s shard.mem_bytes \
     svc.journal_append_s svc.snapshot_s svc.recover_s \

@@ -19,6 +19,7 @@
 //! * Criterion benches in `benches/` for the computational-overhead axes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod figures;
 pub mod fuzz;

@@ -38,6 +38,7 @@ pub const REQUIRED_KEYS: &[&str] = &[
     "schema",
     "smoke",
     "cores",
+    "isa",
     "threads",
     "matrix.n",
     "matrix.k",
@@ -469,6 +470,7 @@ pub fn run(opts: &PerfOpts) -> Json {
         ("schema".into(), Json::Str("limeqo-bench-policy-v1".into())),
         ("smoke".into(), Json::Bool(opts.smoke)),
         ("cores".into(), Json::Num(auto_threads() as f64)),
+        ("isa".into(), Json::Str(limeqo_linalg::block::isa().into())),
         ("threads".into(), Json::Num(limeqo_linalg::par::resolve_threads(opts.threads) as f64)),
         ("matrix.n".into(), Json::Num(n as f64)),
         ("matrix.k".into(), Json::Num(k as f64)),

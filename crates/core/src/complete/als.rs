@@ -195,7 +195,8 @@ pub struct AlsCompleter {
 /// The observed cells of a workload matrix, gathered once per `complete()`
 /// call from the compact index: completed `(col, value)` and censored
 /// `(col, bound)` pairs, both in row-major order, with each row's run
-/// located by offset.
+/// located by offset. Censored cells whose bound is not positive are left
+/// out: the clamp never raises a slot to them.
 struct GatheredCells {
     completes: Vec<(u32, f64)>,
     censored: Vec<(u32, f64)>,
@@ -214,7 +215,7 @@ impl GatheredCells {
             for &col in wm.observed_cols(row) {
                 match wm.cell(row, col as usize) {
                     Cell::Complete(v) => completes.push((col, v)),
-                    Cell::Censored(b) if want_censored => censored.push((col, b)),
+                    Cell::Censored(b) if want_censored && b > 0.0 => censored.push((col, b)),
                     Cell::Censored(_) | Cell::Unobserved => {}
                 }
             }
@@ -228,22 +229,20 @@ impl GatheredCells {
     /// `row` of `QHᵀ` that starts at column `lo` (`w[j - lo]` is column
     /// `j`). Complete and censored cells are disjoint, so filling row by
     /// row is numerically identical to the dense `fill_estimate` this
-    /// replaces.
+    /// replaces. A row's runs are column-sorted, so only the cells inside
+    /// the window are visited: an `H`-step worker touches its own columns,
+    /// not the whole row.
     fn fill_row(&self, row: usize, lo: usize, w: &mut [f64]) {
         let ((c0, s0), (c1, s1)) = (self.starts[row], self.starts[row + 1]);
-        let cols = lo..lo + w.len();
-        for &(c, v) in &self.completes[c0..c1] {
-            if cols.contains(&(c as usize)) {
-                w[c as usize - lo] = v;
-            }
+        let hi = lo + w.len();
+        for &(c, v) in window(&self.completes[c0..c1], lo, hi) {
+            w[c as usize - lo] = v;
         }
-        for &(c, bound) in &self.censored[s0..s1] {
-            if cols.contains(&(c as usize)) {
-                let slot = &mut w[c as usize - lo];
-                if bound > 0.0 && *slot < bound {
-                    *slot = bound;
-                }
-            }
+        for &(c, bound) in window(&self.censored[s0..s1], lo, hi) {
+            let slot = &mut w[c as usize - lo];
+            // A select, not a branch (x86's `maxsd` is exactly this): a NaN
+            // prediction compares false and is kept.
+            *slot = if *slot < bound { bound } else { *slot };
         }
     }
 
@@ -256,6 +255,13 @@ impl GatheredCells {
         let count = self.completes.len().max(1);
         (sum / count as f64).max(1e-9)
     }
+}
+
+/// The cells of a column-sorted run that fall in columns `lo..hi`. A
+/// window from column 0 (every `Q`-step row) needs no search.
+fn window(run: &[(u32, f64)], lo: usize, hi: usize) -> impl Iterator<Item = &(u32, f64)> {
+    let from = if lo == 0 { 0 } else { run.partition_point(|&(c, _)| (c as usize) < lo) };
+    run[from..].iter().take_while(move |&&(c, _)| (c as usize) < hi)
 }
 
 impl AlsCompleter {
@@ -707,6 +713,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn windowed_fill_equals_the_whole_row_fill_sliced() {
+        // Cells on both window edges (columns 0 and k − 1), next to each
+        // other, and censored bounds of 0.0 and −0.0 (ignored) beside
+        // positive ones; the row being filled holds NaN slots, which the
+        // clamp must keep.
+        let k = 9;
+        let mut wm = WorkloadMatrix::new_sharded(3, k, 1);
+        wm.set_complete(0, 0, 1.5);
+        wm.set_censored(0, 1, 0.0);
+        wm.set_complete(0, 4, 2.5);
+        wm.set_censored(0, 5, 7.0);
+        wm.set_censored(0, 8, 3.0);
+        wm.set_censored(1, 0, -0.0);
+        wm.set_censored(1, 3, 9.0);
+        wm.set_complete(1, 8, 0.25);
+        let cells = GatheredCells::gather(&wm, true);
+        let base = [f64::NAN, -1.0, 0.5, 1.0, 4.0, f64::NAN, -0.0, 6.0, f64::NAN];
+        let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for row in 0..3 {
+            let mut whole = base;
+            cells.fill_row(row, 0, &mut whole);
+            for lo in 0..=k {
+                for hi in lo..=k {
+                    let mut w = base[lo..hi].to_vec();
+                    cells.fill_row(row, lo, &mut w);
+                    assert_eq!(bits(&w), bits(&whole[lo..hi]), "row {row} window {lo}..{hi}");
+                }
+            }
+        }
+        // The fill itself: complete cells written, positive bounds clamp
+        // (a NaN slot is kept), bounds ≤ 0 ignored.
+        let mut w = base;
+        cells.fill_row(0, 0, &mut w);
+        assert_eq!(w[0], 1.5);
+        assert_eq!(w[1], -1.0);
+        assert_eq!(w[4], 2.5);
+        assert!(w[5].is_nan() && w[8].is_nan());
+        let mut w = base;
+        cells.fill_row(1, 0, &mut w);
+        assert!(w[0].is_nan());
+        assert_eq!((w[3], w[8]), (9.0, 0.25));
     }
 
     #[test]

@@ -49,6 +49,7 @@
 //! not make assumptions about the underlying DBMS".
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod complete;
 pub mod engine;

@@ -23,6 +23,8 @@
 //!   batched ridge solvers [`ridge_solve_rows`] / [`ridge_solve_cols`],
 //! * [`block`] — the fused ALS half-steps and a cache-blocked `QHᵀ`,
 //!   byte-identical to the naive paths at any tile size and thread count,
+//!   whose per-chunk bodies are also compiled for AVX2 and picked per call
+//!   from the CPU ([`block::isa`]),
 //! * [`mod@fenwick`] — a Fenwick (binary indexed) tree over integer counts,
 //!   the rank-selection substrate of the sublinear candidate-selection
 //!   subsystem in `limeqo_core`.
@@ -33,6 +35,10 @@
 //! allocate outside of construction paths that return new matrices.
 
 #![warn(missing_docs)]
+// The only `unsafe` in the workspace's crates is the AVX2 call site in
+// `block`; the other crates forbid `unsafe` outright.
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod block;
 pub mod cholesky;

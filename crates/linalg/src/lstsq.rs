@@ -68,7 +68,7 @@ enum FactorKind {
 impl RidgeFactor {
     /// Factor `GᵀG + λI` for `G` of shape m×p.
     pub fn new(g: &Mat, lambda: f64) -> Result<Self> {
-        let mut gtg = g.t_matmul(g)?;
+        let mut gtg = gram(g);
         for i in 0..gtg.rows() {
             gtg[(i, i)] += lambda;
         }
@@ -107,6 +107,69 @@ impl RidgeFactor {
             FactorKind::Lu(f) => f.solve_in_place(x),
         }
     }
+
+    /// [`RidgeFactor::solve_in_place`] on `L` right-hand sides at once,
+    /// `x[i][l]` being entry `i` of right-hand side `l`: every lane runs the
+    /// single-right-hand-side sequence of whichever factor was kept, so each
+    /// agrees with `solve_in_place` bit for bit.
+    #[inline(always)]
+    pub(crate) fn solve_lanes<const L: usize>(&self, x: &mut [[f64; L]]) -> Result<()> {
+        match &self.kind {
+            FactorKind::Chol(f) => f.solve_lanes(x),
+            FactorKind::Lu(f) => f.solve_lanes(x),
+        }
+    }
+}
+
+/// A matrix's entries with their zero tests done once: `keep[i]` is all
+/// ones where `val[i]` is not an exact zero and all zeros (the bits of
+/// `+0.0`) where it is. `f64::from_bits((x * w).to_bits() & keep[i])` with
+/// `x = val[i]` is then `x * w`, or `+0.0` where [`Mat::t_matmul`] skips
+/// the term. Adding that `+0.0` instead of skipping changes no sum whose
+/// accumulator starts at `+0.0`: a sum is `−0.0` only when both addends
+/// are, so such an accumulator is never `−0.0`, and adding `+0.0` to any
+/// other value — `±∞` and NaN included — returns it. A mask rather than a
+/// branch, so the zero pattern the non-negativity clamp leaves in an ALS
+/// factor costs no mispredictions, and a mask loaded from memory rather
+/// than one compared in the loop, so the compiler keeps the loop vector code.
+pub(crate) struct Masked<'a> {
+    pub(crate) val: &'a [f64],
+    pub(crate) keep: Vec<u64>,
+}
+
+impl<'a> Masked<'a> {
+    pub(crate) fn new(m: &'a Mat) -> Self {
+        let val = m.as_slice();
+        Masked { val, keep: val.iter().map(|&v| u64::from(v != 0.0).wrapping_neg()).collect() }
+    }
+}
+
+/// `x * w` with `keep` applied: see [`Masked`].
+#[inline(always)]
+pub(crate) fn masked_product(x: f64, keep: u64, w: f64) -> f64 {
+    f64::from_bits((x * w).to_bits() & keep)
+}
+
+/// `GᵀG`, bit for bit as [`Mat::t_matmul`] computes it: each entry sums
+/// `g[k][a]·g[k][c]` over rows `k` ascending from `+0.0`, with a term whose
+/// `g[k][a]` is an exact zero turned into `+0.0` (see [`Masked`]) where
+/// `t_matmul` skips it.
+fn gram(g: &Mat) -> Mat {
+    let p = g.cols();
+    let mut out = Mat::zeros(p, p);
+    if p == 0 {
+        return out;
+    }
+    let g = Masked::new(g);
+    for (row, keep_row) in g.val.chunks_exact(p).zip(g.keep.chunks_exact(p)) {
+        let out_rows = out.as_mut_slice().chunks_exact_mut(p);
+        for ((&ga, &keep), out_row) in row.iter().zip(keep_row).zip(out_rows) {
+            for (o, &gc) in out_row.iter_mut().zip(row) {
+                *o += masked_product(ga, keep, gc);
+            }
+        }
+    }
+    out
 }
 
 /// Batched ridge solve over **rows**: every row of `b_rows` is an
@@ -408,6 +471,71 @@ mod tests {
     fn ridge_factor_reports_dim() {
         let g = Mat::from_rows(&[&[1.0, 0.0, 2.0], &[0.0, 1.0, 1.0]]);
         assert_eq!(RidgeFactor::new(&g, 0.3).unwrap().dim(), 3);
+    }
+
+    /// NaN bit patterns count too: entries are compared as raw bits.
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn branchless_gram_matches_t_matmul_bit_for_bit() {
+        // Exact zeros of both signs opposite ±∞ (where t_matmul's skip
+        // avoids a 0·∞ = NaN term), a NaN entry, and a zero row.
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let g = Mat::from_rows(&[
+            &[-0.0, 2.0, 0.0, 1.5],
+            &[inf, 0.0, -1.0, -0.0],
+            &[0.0, -0.0, 0.0, 0.0],
+            &[1.0, -inf, -0.0, 3.0],
+            &[0.0, 0.5, 0.0, nan],
+            &[-2.0, 0.0, 4.0, -0.0],
+        ]);
+        assert_eq!(bits(&gram(&g)), bits(&g.t_matmul(&g).unwrap()));
+        let mut rng = SeededRng::new(24);
+        for (m, p) in [(0, 3), (3, 0), (1, 1), (17, 5), (40, 8)] {
+            let mut g = rng.uniform_mat(m, p, -1.0, 1.0);
+            for v in g.as_mut_slice() {
+                if rng.index(3) == 0 {
+                    *v = if rng.index(2) == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            assert_eq!(bits(&gram(&g)), bits(&g.t_matmul(&g).unwrap()), "{m}x{p}");
+        }
+    }
+
+    #[test]
+    fn lane_solve_is_the_single_solve_in_every_lane() {
+        // λ = 0.2 keeps Cholesky; λ = 0 on a rank-deficient G (last column a
+        // copy of the first) loses positive definiteness to rounding on some
+        // seeds and falls back to LU. Both branches must be reached.
+        let mut reached = [false; 2];
+        for seed in 0..200u64 {
+            let mut rng = SeededRng::new(seed);
+            let p = 2 + rng.index(6);
+            let mut g = rng.uniform_mat(7, p, 0.0, 2.0);
+            for i in 0..7 {
+                g[(i, p - 1)] = g[(i, 0)];
+            }
+            for lambda in [0.2, 0.0] {
+                let Ok(factor) = RidgeFactor::new(&g, lambda) else { continue };
+                let is_lu = matches!(factor.kind, FactorKind::Lu(_));
+                reached[usize::from(is_lu)] = true;
+                let rhs = rng.uniform_mat(3, p, -4.0, 4.0);
+                let mut lanes: Vec<[f64; 3]> =
+                    (0..p).map(|i| std::array::from_fn(|l| rhs[(l, i)])).collect();
+                factor.solve_lanes(&mut lanes).unwrap();
+                for l in 0..3 {
+                    let mut x = rhs.row(l).to_vec();
+                    factor.solve_in_place(&mut x).unwrap();
+                    let lane: Vec<u64> = lanes.iter().map(|v| v[l].to_bits()).collect();
+                    let single: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(lane, single, "seed {seed} λ {lambda} lu {is_lu} lane {l}");
+                }
+                assert!(factor.solve_lanes(&mut lanes[1..]).is_err(), "short right-hand side");
+            }
+        }
+        assert_eq!(reached, [true, true], "both the Cholesky and the LU branch");
     }
 
     #[test]

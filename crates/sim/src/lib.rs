@@ -34,6 +34,7 @@
 //! latency and estimated cost matrices that drive offline exploration.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod cost;

@@ -51,6 +51,7 @@
 //! bit-identical to a fault-free one.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -25,6 +25,7 @@
 //! configurable through [`TcnnConfig`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod adam;
 pub mod batch;

@@ -22,5 +22,11 @@ fn smoke_perf_report_has_required_keys_and_roundtrips() {
     assert!(parsed.get("als.serial_s").and_then(Json::as_num).unwrap() > 0.0);
     assert!(parsed.get("als.speedup").and_then(Json::as_num).unwrap() > 0.0);
     assert!(parsed.get("cores").and_then(Json::as_num).unwrap() >= 1.0);
+    // The instruction set the fused ALS kernels ran in: trajectories
+    // compare only within one (cores, isa).
+    match parsed.get("isa") {
+        Some(Json::Str(isa)) => assert_eq!(isa, limeqo_linalg::block::isa()),
+        other => panic!("isa must be a string, got {other:?}"),
+    }
     assert_eq!(parsed.get("smoke"), Some(&Json::Bool(true)));
 }
