@@ -108,11 +108,12 @@ cargo test --offline -q -p limeqo-integration-tests --test kernels
 echo "==> benchmark harness tests (perfbench)"
 cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml
 
-# The file corpus under scenarios/ must stay a byte-exact re-expression
-# of the code registry (canonical serializer form, spec-equal,
-# bit-identical metrics on the cheap pair), and every pinned
-# counterexample under scenarios/broken/ must still be caught by the
-# fuzzer's calibrated invariants.
+# The files under scenarios/ are the scenario registry: every loadable
+# file there and in scenarios/scale/ must have its line in the registry's
+# include_str! table (and every line a file), every file must be in
+# canonical serializer form, and every pinned counterexample under
+# scenarios/broken/ must still be caught by the fuzzer's calibrated
+# invariants.
 echo "==> scenario corpus + fuzzer gates"
 cargo test --offline -q -p limeqo-integration-tests \
   --test scenario_corpus --test scenario_fuzz
@@ -150,6 +151,19 @@ fi
 if [[ "$FAST" == "0" ]]; then
   echo "==> scenario corpus run (scenario --dir scenarios)"
   cargo run --offline --release -q -p limeqo-bench --bin scenario -- --dir scenarios
+  # The bin refuses what it does not handle: a retired subcommand or a
+  # typoed flag must exit 2, not silently run the whole matrix.
+  for bad in "export scenarios" "--bogus"; do
+    set +e
+    # shellcheck disable=SC2086  # split "$bad" into its arguments
+    target/release/scenario $bad > /dev/null 2>&1
+    status=$?
+    set -e
+    if [[ "$status" -ne 2 ]]; then
+      echo "ci.sh: scenario $bad exited $status, expected 2" >&2
+      exit 1
+    fi
+  done
   echo "==> scenario fuzz smoke (seed 1, 8 cases)"
   cargo run --offline --release -q -p limeqo-bench --bin scenario -- fuzz --seed 1 --count 8
 fi
@@ -186,17 +200,18 @@ if [[ "$FAST" == "0" ]]; then
   echo "    killed at event 12 (exit $kill_status), recovered trace byte-identical"
 
   # Protocol error-path smoke: every malformed request in
-  # crates/svc/smoke/errors.ndjson (pre-init ops, non-JSON, duplicate
-  # init, unknown op, bad/missing fields) must get an {"ok":false,...}
-  # reply while the daemon keeps serving — 7 errors, 4 successes, clean
-  # exit. tests in crates/svc/src/lib.rs pin the same paths in-process.
+  # crates/svc/smoke/errors.ndjson (pre-init ops, non-JSON, oversized
+  # inits, duplicate init, unknown op, bad/missing fields) must get an
+  # {"ok":false,...} reply while the daemon keeps serving — 10 errors,
+  # 4 successes, clean exit. tests in crates/svc/src/lib.rs pin the same
+  # paths in-process.
   echo "==> limeqo-svc protocol error-path smoke"
   "$SVC" --dir "$SMOKE_DIR/errors" --script crates/svc/smoke/errors.ndjson \
     > "$SMOKE_DIR/errors.out"
   err_count=$(grep -c '"ok":false' "$SMOKE_DIR/errors.out")
   ok_count=$(grep -c '"ok":true' "$SMOKE_DIR/errors.out")
-  if [[ "$err_count" -ne 7 || "$ok_count" -ne 4 ]]; then
-    echo "ci.sh: svc error smoke expected 7 error + 4 ok replies, got $err_count + $ok_count:" >&2
+  if [[ "$err_count" -ne 10 || "$ok_count" -ne 4 ]]; then
+    echo "ci.sh: svc error smoke expected 10 error + 4 ok replies, got $err_count + $ok_count:" >&2
     cat "$SMOKE_DIR/errors.out" >&2
     exit 1
   fi
@@ -204,7 +219,7 @@ if [[ "$FAST" == "0" ]]; then
     echo "ci.sh: svc error smoke: daemon did not survive to the final shutdown" >&2
     exit 1
   fi
-  echo "    7 error replies, 4 ok replies, daemon survived to shutdown"
+  echo "    10 error replies, 4 ok replies, daemon survived to shutdown"
 
   # Chaos smoke: a scripted append failure (--fault-at 20, mid tick 4)
   # inside a live daemon. The daemon must degrade rather than die: keep

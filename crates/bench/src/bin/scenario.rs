@@ -5,20 +5,18 @@
 //!   cargo run --release -p limeqo-bench --bin scenario -- --filter online
 //!   cargo run --release -p limeqo-bench --bin scenario -- --scale  # 100k tier
 //!   cargo run --release -p limeqo-bench --bin scenario -- --dir scenarios
-//!   cargo run --release -p limeqo-bench --bin scenario -- export scenarios
 //!   cargo run --release -p limeqo-bench --bin scenario -- fuzz --seed 1 --count 8
 //!   cargo run --release -p limeqo-bench --bin scenario -- fuzz --replay 42
 //!   cargo run --release -p limeqo-bench --bin scenario -- fuzz --replay path/to/spec.json
 //!
-//! `--dir DIR` swaps the code registry for the file corpus in DIR
-//! (`*.json` / `*.toml`, loaded with the `limeqo-sim` scenario loader). A
-//! file that fails to parse or validate exits non-zero with the offending
-//! path and line — the corpus is config, and config errors are user
-//! errors, not panics.
-//!
-//! `export DIR` writes the code registry out as corpus files (a fixed
-//! subset as TOML, the rest JSON, the 100k tier under `DIR/scale/`) —
-//! the generator for the checked-in `scenarios/` directory.
+//! The default matrix is `limeqo_sim::scenario::registry()`, which is the
+//! top level of `scenarios/` compiled into the binary (`--scale`: the
+//! files under `scenarios/scale/`). `--dir DIR` reads the corpus in DIR
+//! at run time instead (`*.json` / `*.toml`, loaded with the `limeqo-sim`
+//! scenario loader), so a new or edited file runs with no recompile. A
+//! file that fails to parse or validate exits 2 with the offending path
+//! and line — the corpus is config, and config errors are user errors,
+//! not panics. Any other argument exits 2 with the usage line.
 //!
 //! `fuzz` generates random-but-valid specs, runs each through the full
 //! runner, and checks the calibrated invariants; failures are minimized
@@ -30,37 +28,59 @@
 //! (`tests/tests/scenarios.rs`) runs the same registry through the same
 //! runner and pins the metrics in `tests/golden/scenarios.golden`.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use limeqo_bench::fuzz::{check_spec, minimize, run_fuzz};
 use limeqo_bench::report::{fmt_secs, write_csv, write_json, Table};
 use limeqo_bench::scenario_runner::{report_json, run_scenarios};
 use limeqo_sim::scenario::{registry, scale_registry};
 use limeqo_sim::scenario_fuzz::generate;
-use limeqo_sim::{load_corpus, load_scenario, to_json_string, to_toml_string};
+use limeqo_sim::{load_corpus, load_scenario, to_json_string};
 
-/// Registry scenarios exported as TOML instead of JSON, so the corpus
-/// exercises both loaders end to end.
-const TOML_EXPORTS: &[&str] = &["heavy-tail", "online-zipf", "data-shift-retained"];
+const USAGE: &str = "usage: scenario [--list] [--scale] [--filter NAME] [--dir DIR]
+       scenario fuzz [--seed N] [--count N] [--out DIR] [--replay SEED|FILE]";
+
+/// Report a command-line error with the usage line and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("scenario: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Exit 2 with the usage line unless every argument is one of `switches`
+/// or one of `valued` followed by its value.
+fn check_args(args: &[String], switches: &[&str], valued: &[&str]) {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if valued.contains(&arg.as_str()) {
+            if it.next().is_none() {
+                usage_error(&format!("{arg} takes a value"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            usage_error(&format!("unrecognized argument {arg:?}"));
+        }
+    }
+}
+
+/// The value after `flag` on the command line, if the flag is present.
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("export") => return cmd_export(args.get(1).map(String::as_str)),
-        Some("fuzz") => return cmd_fuzz(&args[1..]),
-        _ => {}
+    if args.first().map(String::as_str) == Some("fuzz") {
+        return cmd_fuzz(&args[1..]);
     }
 
+    check_args(&args, &["--list", "--scale"], &["--filter", "--dir"]);
     let list_only = args.iter().any(|a| a == "--list");
     let scale = args.iter().any(|a| a == "--scale");
-    let flag_value =
-        |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned();
-    let filter = flag_value("--filter").unwrap_or_default();
-    let corpus_dir = flag_value("--dir");
+    let filter = flag_value(&args, "--filter").unwrap_or_default();
+    let corpus_dir = flag_value(&args, "--dir");
 
-    // --dir swaps the code registry for the file corpus; --scale swaps in
-    // the 100k-query tier (minutes, not seconds). The fast code registry
-    // stays the default so `scenario` remains cheap.
+    // --dir reads a corpus directory at run time; --scale swaps in the
+    // 100k-query tier (minutes, not seconds). The compiled-in fast
+    // registry stays the default so `scenario` remains cheap.
     let base = match &corpus_dir {
         Some(dir) => match load_corpus(Path::new(dir)) {
             Ok(corpus) => corpus.into_iter().map(|(_, spec)| spec).collect(),
@@ -149,39 +169,17 @@ fn main() {
     }
 }
 
-/// `scenario export [DIR]`: write the code registry as corpus files.
-fn cmd_export(dir: Option<&str>) {
-    let dir = PathBuf::from(dir.unwrap_or("scenarios"));
-    let scale_dir = dir.join("scale");
-    std::fs::create_dir_all(&scale_dir).expect("create export dirs");
-    let mut written = 0usize;
-    for spec in registry() {
-        let toml = TOML_EXPORTS.contains(&spec.name.as_str());
-        let ext = if toml { "toml" } else { "json" };
-        let path = dir.join(format!("{}.{ext}", spec.name));
-        let body = if toml { to_toml_string(&spec) } else { to_json_string(&spec) };
-        std::fs::write(&path, body).expect("write corpus file");
-        written += 1;
-    }
-    for spec in scale_registry() {
-        let path = scale_dir.join(format!("{}.json", spec.name));
-        std::fs::write(&path, to_json_string(&spec)).expect("write scale corpus file");
-        written += 1;
-    }
-    println!("[scenario] exported {written} scenarios to {}", dir.display());
-}
-
 /// `scenario fuzz [--seed S] [--count N] [--out DIR] [--replay SEED|FILE]`.
 fn cmd_fuzz(args: &[String]) {
-    let flag_value =
-        |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned();
-    if let Some(target) = flag_value("--replay") {
+    check_args(args, &[], &["--seed", "--count", "--out", "--replay"]);
+    if let Some(target) = flag_value(args, "--replay") {
         return cmd_fuzz_replay(&target);
     }
-    let seed: u64 = flag_value("--seed").map_or(1, |v| v.parse().expect("--seed takes a u64"));
-    let count: usize =
-        flag_value("--count").map_or(64, |v| v.parse().expect("--count takes a number"));
-    let out = flag_value("--out").unwrap_or_else(|| "bench-results/fuzz-failures".into());
+    let seed: u64 = flag_value(args, "--seed")
+        .map_or(1, |v| v.parse().unwrap_or_else(|_| usage_error("--seed takes a u64")));
+    let count: usize = flag_value(args, "--count")
+        .map_or(64, |v| v.parse().unwrap_or_else(|_| usage_error("--count takes a number")));
+    let out = flag_value(args, "--out").unwrap_or_else(|| "bench-results/fuzz-failures".into());
     let report = run_fuzz(seed, count, Some(Path::new(&out)));
     if report.failures.is_empty() {
         println!(

@@ -81,14 +81,6 @@ pub struct OnlineStats {
     pub incumbent_latency: f64,
 }
 
-impl OnlineStats {
-    /// Worst-case per-arrival regression actually incurred, as a fraction
-    /// of the incumbent latency (≤ ρ − 1 by construction).
-    pub fn regression_bound(&self, rho: f64) -> f64 {
-        rho - 1.0
-    }
-}
-
 /// Online explorer: serves arrivals, gambles occasionally, learns always.
 ///
 /// Since the engine refactor this is a thin driver over

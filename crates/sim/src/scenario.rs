@@ -13,15 +13,18 @@
 //! not just the paper's tables.
 //!
 //! This module is *data only*: building oracles, running policies, and
-//! aggregating metrics live in `limeqo-bench::scenario_runner`. Keeping
-//! specs declarative means a scenario is printable, diffable, and cheap to
-//! enumerate — adding one is a single registry entry (see README.md).
+//! aggregating metrics live in `limeqo-bench::scenario_runner`. The
+//! registry itself is data too: each scenario is defined once, as a file
+//! under `scenarios/` (fast tier) or `scenarios/scale/`, compiled in with
+//! `include_str!` and parsed by [`crate::scenario_file`]. Pinning a new
+//! scenario is: drop in the file, add its line to the file table below,
+//! re-bless the golden (see README.md).
 
-use crate::catalog::CatalogSpec;
-use crate::query::{JoinShape, QueryClass};
-use crate::workloads::{ClassMix, WorkloadSpec};
+use std::path::Path;
+
+use crate::scenario_file::parse_scenario;
+use crate::workloads::WorkloadSpec;
 use limeqo_core::scenario::PolicySpec;
-use limeqo_core::store::DriftPolicy;
 use limeqo_linalg::rng::SeededRng;
 use limeqo_linalg::Mat;
 
@@ -390,7 +393,7 @@ impl ScenarioSpec {
     /// Check the spec's internal consistency, returning an actionable
     /// message that names the offending field. This is the load-time gate
     /// for corpus files and the fuzzer's validity filter; [`Self::validate`]
-    /// is the panicking wrapper the registry uses.
+    /// is the panicking wrapper the scenario runner uses.
     pub fn check(&self) -> Result<(), String> {
         let fail = |msg: String| -> Result<(), String> { Err(format!("{}: {msg}", self.name)) };
         if self.name.is_empty() {
@@ -556,582 +559,72 @@ impl ScenarioSpec {
     }
 }
 
-/// A small heavy-tailed workload: a few enormous snowflake joins with big
-/// fanout variance over a mostly cheap body — the latency tail regime the
-/// paper's calibrated workloads smooth over.
-fn heavy_tail_spec(n_queries: usize, seed: u64) -> WorkloadSpec {
-    WorkloadSpec {
-        name: "heavy-tail".into(),
-        n_queries,
-        catalog: CatalogSpec {
-            name: "heavy-tail-sim".into(),
-            n_tables: 12,
-            rows_range: (1e4, 8e7),
-            width_range: (50.0, 400.0),
-            index_prob: 0.45,
-            fact_fraction: 0.35,
-        },
-        class_mix: vec![
-            ClassMix {
-                class: QueryClass::WellEstimated,
-                weight: 0.7,
-                shape: JoinShape::Chain,
-                n_tables: (2, 4),
-                pred_sel_range: (1e-3, 0.05),
-                fanout: (0.3, 0.4),
-                pred_prob: 0.6,
-            },
-            ClassMix {
-                class: QueryClass::NestLoopTrap,
-                weight: 0.3,
-                shape: JoinShape::Snowflake,
-                n_tables: (6, 10),
-                pred_sel_range: (0.05, 0.6),
-                fanout: (1.1, 0.9),
-                pred_prob: 0.3,
-            },
-        ],
-        target_default_total: 300.0,
-        templates: None,
-        seed,
-    }
+/// The checked-in scenario files, as `(path under scenarios/, contents)`
+/// pairs compiled into the crate. `scenarios/README.md` records why
+/// individual specs are shaped the way they are.
+macro_rules! scenario_files {
+    ($($file:literal),* $(,)?) => {
+        &[$(($file, include_str!(concat!("../../../scenarios/", $file)))),*]
+    };
 }
 
-/// A near-zero-headroom workload: every query well estimated, so the
-/// default plan is already close to optimal and exploration has almost
-/// nothing to win. Pins that LimeQO degrades gracefully instead of
-/// thrashing when there is no low-rank signal worth chasing.
-fn tiny_headroom_spec(n_queries: usize, seed: u64) -> WorkloadSpec {
-    WorkloadSpec {
-        name: "tiny-headroom".into(),
-        n_queries,
-        catalog: CatalogSpec {
-            name: "tiny-headroom-sim".into(),
-            n_tables: 10,
-            rows_range: (1e4, 5e6),
-            width_range: (50.0, 250.0),
-            index_prob: 0.6,
-            fact_fraction: 0.3,
-        },
-        class_mix: vec![ClassMix {
-            class: QueryClass::WellEstimated,
-            weight: 1.0,
-            shape: JoinShape::Chain,
-            n_tables: (2, 5),
-            pred_sel_range: (1e-3, 0.1),
-            fanout: (0.3, 0.4),
-            pred_prob: 0.6,
-        }],
-        target_default_total: 90.0,
-        templates: None,
-        seed,
-    }
+/// The files behind [`registry`], in registry order.
+const FAST_FILES: &[(&str, &str)] = scenario_files![
+    "job-mini.json",
+    "heavy-tail.toml",
+    "tiny-headroom.json",
+    "template-drift.json",
+    "data-shift.json",
+    "growing-catalog.json",
+    "hint-prefix-9.json",
+    "censor-hostile.json",
+    "large-matrix-10k.json",
+    "online-uniform.json",
+    "online-zipf.toml",
+    "data-shift-retained.toml",
+    "incremental-tunnel.json",
+    "zipf-cold-bonus.json",
+    "incremental-als.json",
+];
+
+/// The files behind [`scale_registry`], in registry order.
+const SCALE_FILES: &[(&str, &str)] = scenario_files![
+    "scale/scale-100k.json",
+    "scale/scale-100k-zipf.json",
+    "scale/scale-1m.json",
+    "scale/scale-1m-tenants.json",
+];
+
+/// Parse and validate compiled-in scenario files with the corpus loader.
+/// A checked-in file that does not load is broken data, not user input,
+/// so it panics with the loader's `scenarios/<file>:<line>` message.
+fn parse_files(files: &[(&str, &str)]) -> Vec<ScenarioSpec> {
+    files
+        .iter()
+        .map(|&(file, src)| {
+            parse_scenario(src, &Path::new("scenarios").join(file), None)
+                .unwrap_or_else(|e| panic!("{e}"))
+        })
+        .collect()
 }
 
-/// The named scenario registry — the matrix the golden suite pins.
+/// The named scenario registry — the matrix the golden suite pins, read
+/// from the top level of `scenarios/`.
 ///
 /// Every entry must stay fast enough for `cargo test` (a few seconds at
-/// opt-level 2); heavyweight variants belong behind the `scenario` bin's
-/// `--full` flag, not in here.
+/// opt-level 2); heavyweight scenarios belong in [`scale_registry`].
 pub fn registry() -> Vec<ScenarioSpec> {
-    let specs = vec![
-        ScenarioSpec {
-            name: "job-mini".into(),
-            summary: "JOB-like mini workload, LimeQO at 2x default budget (paper baseline)".into(),
-            workload: ScenarioWorkload::Sim(WorkloadSpec::job().scaled(0.35)),
-            hint_shape: HintShape::Full,
-            drift: vec![],
-            policy: PolicySpec::limeqo(),
-            budget_multiple: 2.0,
-            batch: 16,
-            max_steps: 100_000,
-            seeds: vec![11, 12],
-            arrivals: None,
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "heavy-tail".into(),
-            summary: "heavy-tailed latency classes: a few huge snowflake joins over a cheap body"
-                .into(),
-            workload: ScenarioWorkload::Sim(heavy_tail_spec(48, 0x4EA7)),
-            hint_shape: HintShape::Full,
-            drift: vec![],
-            policy: PolicySpec::limeqo(),
-            budget_multiple: 1.5,
-            batch: 16,
-            max_steps: 100_000,
-            seeds: vec![21, 22],
-            arrivals: None,
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "tiny-headroom".into(),
-            summary: "all queries well-estimated: almost nothing for exploration to win".into(),
-            workload: ScenarioWorkload::Sim(tiny_headroom_spec(40, 0x71D0)),
-            hint_shape: HintShape::Full,
-            drift: vec![],
-            policy: PolicySpec::limeqo(),
-            budget_multiple: 1.0,
-            batch: 16,
-            max_steps: 100_000,
-            seeds: vec![31, 32],
-            arrivals: None,
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "template-drift".into(),
-            summary: "templated workload; a third of the templates arrive mid-run (\u{a7}5.3)"
-                .into(),
-            workload: ScenarioWorkload::Sim({
-                let mut spec = WorkloadSpec::tiny(48, 0x7E3A);
-                spec.name = "template-drift".into();
-                spec.templates = Some(8);
-                spec
-            }),
-            hint_shape: HintShape::Full,
-            drift: vec![DriftEvent { at_frac: 0.5, kind: DriftKind::AddQueries { count: 16 } }],
-            policy: PolicySpec::limeqo(),
-            budget_multiple: 2.0,
-            batch: 16,
-            max_steps: 100_000,
-            seeds: vec![41, 42],
-            arrivals: None,
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "data-shift".into(),
-            summary: "complete data shift mid-run: two years of growth + drift (\u{a7}5.4)".into(),
-            workload: ScenarioWorkload::Sim(WorkloadSpec::tiny(36, 0xD5_1F7)),
-            hint_shape: HintShape::Full,
-            drift: vec![DriftEvent { at_frac: 0.4, kind: DriftKind::DataShift { days: 730.0 } }],
-            policy: PolicySpec::limeqo(),
-            budget_multiple: 6.0,
-            batch: 8,
-            max_steps: 100_000,
-            seeds: vec![51, 52],
-            arrivals: None,
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "growing-catalog".into(),
-            summary: "greedy explorer caught by a year of catalog growth under cached plans".into(),
-            workload: ScenarioWorkload::Sim(WorkloadSpec::tiny(30, 0x69_0CA7)),
-            hint_shape: HintShape::Full,
-            drift: vec![DriftEvent { at_frac: 0.6, kind: DriftKind::DataShift { days: 365.0 } }],
-            policy: PolicySpec::Greedy,
-            budget_multiple: 1.5,
-            batch: 8,
-            max_steps: 100_000,
-            seeds: vec![61],
-            arrivals: None,
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "hint-prefix-9".into(),
-            summary: "restricted hint space: only the first 9 of 49 hint sets are deployable"
-                .into(),
-            workload: ScenarioWorkload::Sim(WorkloadSpec::tiny(30, 0x9F_0E11)),
-            hint_shape: HintShape::Prefix(9),
-            drift: vec![],
-            policy: PolicySpec::LimeQoAls {
-                rank: 3,
-                drift: DriftPolicy::default(),
-                incremental: false,
-                rescore_every: 0,
-                incremental_als: false,
-            },
-            budget_multiple: 3.0,
-            batch: 4,
-            max_steps: 100_000,
-            seeds: vec![71, 72, 73],
-            arrivals: None,
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "censor-hostile".into(),
-            summary: "default nearly optimal per row: almost every probe times out (censored)"
-                .into(),
-            workload: ScenarioWorkload::Synthetic(SyntheticSpec {
-                n: 400,
-                k: 49,
-                rank: 5,
-                default_inflation: 1.03,
-                noise_sigma: 0.4,
-                seed: 0xCE_50,
-            }),
-            hint_shape: HintShape::Full,
-            drift: vec![],
-            policy: PolicySpec::limeqo(),
-            budget_multiple: 1.0,
-            batch: 32,
-            max_steps: 100_000,
-            seeds: vec![81, 82],
-            arrivals: None,
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "large-matrix-10k".into(),
-            summary: "10k-query synthetic low-rank matrix: the scale regime beyond Stack".into(),
-            workload: ScenarioWorkload::Synthetic(SyntheticSpec {
-                n: 10_000,
-                k: 49,
-                rank: 5,
-                default_inflation: 2.5,
-                noise_sigma: 0.1,
-                seed: 0x10_000,
-            }),
-            hint_shape: HintShape::Full,
-            drift: vec![],
-            policy: PolicySpec::limeqo(),
-            budget_multiple: 0.25,
-            batch: 512,
-            max_steps: 100_000,
-            seeds: vec![91],
-            arrivals: None,
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "online-uniform".into(),
-            summary: "online exploration (\u{a7}6): uniform arrivals, bounded \u{3c1}-regression"
-                .into(),
-            workload: ScenarioWorkload::Sim(WorkloadSpec::tiny(32, 0x0A11E)),
-            hint_shape: HintShape::Full,
-            drift: vec![],
-            policy: PolicySpec::OnlineAls {
-                rank: 5,
-                explore_prob: 0.15,
-                rho: 1.2,
-                refresh_every: 64,
-                cold_bonus: 0.0,
-            },
-            budget_multiple: 0.0,
-            batch: 1,
-            max_steps: 100_000,
-            seeds: vec![101, 102],
-            arrivals: Some(ArrivalSpec::new(2500, ArrivalModel::Uniform)),
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "online-zipf".into(),
-            summary: "online exploration under zipf(1.1) query-frequency skew".into(),
-            workload: ScenarioWorkload::Sim(WorkloadSpec::tiny(48, 0x21FF)),
-            hint_shape: HintShape::Full,
-            drift: vec![],
-            policy: PolicySpec::OnlineAls {
-                rank: 5,
-                explore_prob: 0.15,
-                rho: 1.2,
-                refresh_every: 64,
-                cold_bonus: 0.5,
-            },
-            budget_multiple: 0.0,
-            batch: 1,
-            max_steps: 100_000,
-            seeds: vec![111, 112],
-            arrivals: Some(ArrivalSpec::new(3000, ArrivalModel::Zipf { exponent: 1.1 })),
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "data-shift-retained".into(),
-            summary: "two compounding data shifts with stale observations kept as censored priors"
-                .into(),
-            workload: ScenarioWorkload::Sim(WorkloadSpec::tiny(36, 0xD5_1F7)),
-            hint_shape: HintShape::Full,
-            drift: vec![
-                DriftEvent { at_frac: 0.3, kind: DriftKind::DataShift { days: 365.0 } },
-                DriftEvent { at_frac: 0.6, kind: DriftKind::DataShift { days: 365.0 } },
-            ],
-            // Explicit knobs (not `..Default::default()`): this scenario
-            // pins the retention path itself, so the golden must not move
-            // if the library defaults are retuned later.
-            policy: PolicySpec::LimeQoAls {
-                rank: 5,
-                incremental: false,
-                rescore_every: 0,
-                incremental_als: false,
-                drift: DriftPolicy {
-                    retain_priors: true,
-                    prior_decay: 0.5,
-                    density_gate: 0.12,
-                    cold_row_bonus: 0.25,
-                    warm_start: true,
-                },
-            },
-            budget_multiple: 6.0,
-            batch: 8,
-            max_steps: 100_000,
-            // 16 seeds where the other scenarios use 2: the
-            // retention-vs-cold-restart margin this scenario pins is ~1 %
-            // of final latency (a ROADMAP open item), so a 2-seed mean is
-            // noise-dominated — a per-seed scan measured ±2.5 s swings on
-            // a ~74 s quantity, flipping the invariant on unlucky pairs.
-            seeds: (51..=66).collect(),
-            arrivals: None,
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "incremental-tunnel".into(),
-            summary: "fuzzer-found regression: lazy incremental re-score cadence must track the \
-                      paper-exact ranking (completion-epoch cache invalidation)"
-                .into(),
-            // Promoted verbatim from scenarios/broken/incremental-tunnel
-            // .json (fuzz case, seed 8591): at rescore_every 8 and batch 2
-            // the old row_rev-keyed cache locked untouched rows out of the
-            // candidate set and tunneled on a handful of heavy rows at
-            // full-row-best timeouts, losing ~3x to Random. With cached
-            // scores keyed on the store's completion epoch, any lazy
-            // cadence reproduces the paper-exact ranking bit for bit. The
-            // single fuzz seed lost to Random by per-seed luck even when
-            // fixed (heavy-tailed tiny catalog); five seeds make the mean
-            // land where the claim does.
-            workload: ScenarioWorkload::Sim(WorkloadSpec::tiny(41, 906721977)),
-            hint_shape: HintShape::Strided(3),
-            drift: vec![],
-            policy: PolicySpec::LimeQoAls {
-                rank: 5,
-                drift: DriftPolicy::default(),
-                incremental: true,
-                rescore_every: 8,
-                incremental_als: false,
-            },
-            budget_multiple: 3.1123988138271734,
-            batch: 2,
-            max_steps: 100_000,
-            seeds: vec![1, 2, 3, 4, 5],
-            arrivals: None,
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "zipf-cold-bonus".into(),
-            summary: "zipf(1.1) arrivals with a strong cold-row exploration bonus".into(),
-            workload: ScenarioWorkload::Sim(WorkloadSpec::tiny(48, 0x21FF)),
-            hint_shape: HintShape::Full,
-            drift: vec![],
-            policy: PolicySpec::OnlineAls {
-                rank: 5,
-                explore_prob: 0.15,
-                rho: 1.2,
-                refresh_every: 64,
-                cold_bonus: 1.0,
-            },
-            budget_multiple: 0.0,
-            batch: 1,
-            max_steps: 100_000,
-            seeds: vec![111, 112],
-            arrivals: Some(ArrivalSpec::new(3000, ArrivalModel::Zipf { exponent: 1.1 })),
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "incremental-als".into(),
-            summary: "incremental ALS factor updates: only dirty Q rows re-solved between rounds"
-                .into(),
-            // Pins the incremental-factor-update path (PERF.md §Kernels):
-            // after the first full fit, each round re-solves only the rows
-            // whose observations changed, against retained H. The golden
-            // certifies the bounded-deviation contract holds end to end —
-            // LimeQO with incremental updates must still beat Random here.
-            workload: ScenarioWorkload::Synthetic(SyntheticSpec {
-                n: 300,
-                k: 25,
-                rank: 4,
-                default_inflation: 2.0,
-                noise_sigma: 0.2,
-                seed: 0x1AC5,
-            }),
-            hint_shape: HintShape::Full,
-            drift: vec![],
-            policy: PolicySpec::LimeQoAls {
-                rank: 4,
-                drift: DriftPolicy { warm_start: true, ..DriftPolicy::default() },
-                incremental: false,
-                rescore_every: 0,
-                incremental_als: true,
-            },
-            budget_multiple: 1.5,
-            batch: 16,
-            max_steps: 100_000,
-            seeds: vec![121, 122],
-            arrivals: None,
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-    ];
-    for s in &specs {
-        s.validate();
-    }
-    specs
+    parse_files(FAST_FILES)
 }
 
-/// Scenarios too heavy for the per-`cargo test` golden suite: the
-/// 100k-query production-scale regime the parallel completion engine
-/// exists for. Run with `scenario --scale`; pinned by the `#[ignore]`d
-/// golden tests in `tests/tests/scenarios.rs` (slow tier,
-/// `./ci.sh --ignored`) against `tests/golden/scale.golden`.
+/// Scenarios too heavy for the per-`cargo test` golden suite, read from
+/// `scenarios/scale/`: the 100k-query production-scale regime the
+/// parallel completion engine exists for, and the sharded 1M-row tier.
+/// Run with `scenario --scale`; pinned by the `#[ignore]`d golden tests in
+/// `tests/tests/scenarios.rs` (slow tier, `./ci.sh --ignored`) against
+/// `tests/golden/scale.golden`.
 pub fn scale_registry() -> Vec<ScenarioSpec> {
-    let scale_matrix = SyntheticSpec {
-        n: 100_000,
-        k: 49,
-        rank: 5,
-        default_inflation: 2.5,
-        noise_sigma: 0.1,
-        seed: 0x100_000,
-    };
-    let specs = vec![
-        ScenarioSpec {
-            name: "scale-100k".into(),
-            summary: "100k queries x 49 hints offline: parallel ALS + incremental Eq. 6 ranking"
-                .into(),
-            workload: ScenarioWorkload::Synthetic(scale_matrix.clone()),
-            hint_shape: HintShape::Full,
-            // 20k of the queries arrive mid-run, exercising row growth at
-            // scale; the budget is deliberately thin (production explores
-            // a sliver of a 4.9M-cell matrix) and the step cap bounds the
-            // worst case.
-            drift: vec![DriftEvent { at_frac: 0.5, kind: DriftKind::AddQueries { count: 20_000 } }],
-            // `rescore_every: 0`: the periodic full re-score was measured
-            // at this scale and did not move the outcome (see ROADMAP) —
-            // the pure incremental ranking stays the pinned configuration.
-            policy: PolicySpec::LimeQoAls {
-                rank: 5,
-                drift: DriftPolicy::default(),
-                incremental: true,
-                rescore_every: 0,
-                incremental_als: false,
-            },
-            budget_multiple: 0.05,
-            batch: 4096,
-            max_steps: 24,
-            seeds: vec![1],
-            arrivals: None,
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "scale-100k-zipf".into(),
-            summary: "online zipf(1.1) arrivals over the 100k-query matrix, cold-row bonus on"
-                .into(),
-            workload: ScenarioWorkload::Synthetic(scale_matrix),
-            hint_shape: HintShape::Full,
-            drift: vec![],
-            policy: PolicySpec::OnlineAls {
-                rank: 5,
-                explore_prob: 0.15,
-                rho: 1.2,
-                refresh_every: 2048,
-                cold_bonus: 0.5,
-            },
-            budget_multiple: 0.0,
-            batch: 1,
-            max_steps: 100_000,
-            seeds: vec![7],
-            arrivals: Some(ArrivalSpec::new(6000, ArrivalModel::Zipf { exponent: 1.1 })),
-            shards: 1,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "scale-1m".into(),
-            summary: "1M queries x 17 hints: the sharded multi-tenant tier, 8 row-range shards"
-                .into(),
-            workload: ScenarioWorkload::Synthetic(scale_1m_matrix()),
-            hint_shape: HintShape::Full,
-            drift: vec![],
-            // Incremental ranking is mandatory at this size: a full
-            // re-score touches all 1M rows per step. rank 3 keeps the
-            // per-step ALS within the slow tier's time box. The thin
-            // budget buys ~65k probes; spending them as eight 8k batches
-            // rather than two 32k batches is what lets the model adapt —
-            // a 2-round run leaves half the probes model-cold and loses
-            // to Random at this sparsity.
-            policy: PolicySpec::LimeQoAls {
-                rank: 3,
-                drift: DriftPolicy::default(),
-                incremental: true,
-                rescore_every: 0,
-                incremental_als: false,
-            },
-            budget_multiple: 0.02,
-            batch: 8192,
-            max_steps: 12,
-            seeds: vec![1],
-            arrivals: None,
-            shards: 8,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-        ScenarioSpec {
-            name: "scale-1m-tenants".into(),
-            summary: "the 1M-row matrix as 64 tenant shards sharing one service and factor model"
-                .into(),
-            workload: ScenarioWorkload::Synthetic(scale_1m_matrix()),
-            hint_shape: HintShape::Full,
-            drift: vec![],
-            policy: PolicySpec::LimeQoAls {
-                rank: 3,
-                drift: DriftPolicy::default(),
-                incremental: true,
-                rescore_every: 0,
-                incremental_als: false,
-            },
-            budget_multiple: 0.02,
-            batch: 8192,
-            max_steps: 12,
-            seeds: vec![1],
-            arrivals: None,
-            shards: 64,
-            probe_fail_rate: 0.0,
-            probe_fail_seed: 0,
-        },
-    ];
-    for s in &specs {
-        s.validate();
-    }
-    specs
-}
-
-/// The shared 1M-row synthetic matrix behind the `scale-1m*` scenarios.
-/// 17 hints (not 49) keeps the slow tier's dense completion buffers near
-/// 1M x 17 x 8 B ≈ 136 MB; the *matrix* itself is sparse and budgeted
-/// separately (see PERF.md's memory-budget table).
-fn scale_1m_matrix() -> SyntheticSpec {
-    SyntheticSpec {
-        n: 1_000_000,
-        k: 17,
-        rank: 3,
-        default_inflation: 2.5,
-        noise_sigma: 0.1,
-        seed: 0x100_0000,
-    }
+    parse_files(SCALE_FILES)
 }
 
 /// The fast registry plus the scale registry, in that order.

@@ -8,12 +8,17 @@
 //! non-negative integer`). Unknown keys are errors — a typoed knob must
 //! never be silently ignored.
 //!
+//! The checked-in files under `scenarios/` are the only definition of the
+//! named registry: [`crate::scenario::registry`] and
+//! [`crate::scenario::scale_registry`] compile them in and parse them here.
+//!
 //! The serializers ([`to_json_string`], [`to_toml_string`]) emit canonical
 //! files whose round trip is *exact*: floats print through Rust's
 //! shortest-representation formatter, which re-parses bit for bit, and
 //! [`ScenarioSpec::check`] rejects seeds above 2^53 up front. The corpus
-//! test in `tests/tests/scenario_corpus.rs` holds `scenarios/` to this
-//! round trip against the code registry.
+//! test in `tests/tests/scenario_corpus.rs` holds every file in
+//! `scenarios/` to that canonical form, and the fuzzer dumps its
+//! minimized failures through [`to_json_string`].
 //!
 //! The TOML dialect is the subset the serializer emits plus the obvious
 //! human conveniences: `[table]` / `[[array-of-tables]]` headers, dotted
@@ -1302,18 +1307,18 @@ pub fn parse_scenario_toml(
     decode(&v, file, base_dir)
 }
 
-/// Load one scenario file (`.json` or `.toml`), run
-/// [`ScenarioSpec::check`], and return the validated spec.
-pub fn load_scenario(path: &Path) -> Result<ScenarioSpec, LoadError> {
-    let text = std::fs::read_to_string(path).map_err(|e| LoadError {
-        path: path.to_path_buf(),
-        line: None,
-        msg: format!("cannot read scenario file: {e}"),
-    })?;
-    let base = path.parent();
+/// Parse a scenario as JSON or TOML by `path`'s extension, run
+/// [`ScenarioSpec::check`], and return the validated spec; `path` labels
+/// errors, `base_dir` resolves `replay_csv` references (reject them when
+/// `None`).
+pub(crate) fn parse_scenario(
+    src: &str,
+    path: &Path,
+    base_dir: Option<&Path>,
+) -> Result<ScenarioSpec, LoadError> {
     let spec = match path.extension().and_then(|e| e.to_str()) {
-        Some("json") => parse_scenario_json(&text, path, base)?,
-        Some("toml") => parse_scenario_toml(&text, path, base)?,
+        Some("json") => parse_scenario_json(src, path, base_dir)?,
+        Some("toml") => parse_scenario_toml(src, path, base_dir)?,
         _ => {
             return Err(LoadError {
                 path: path.to_path_buf(),
@@ -1324,6 +1329,17 @@ pub fn load_scenario(path: &Path) -> Result<ScenarioSpec, LoadError> {
     };
     spec.check().map_err(|msg| LoadError { path: path.to_path_buf(), line: None, msg })?;
     Ok(spec)
+}
+
+/// Load one scenario file (`.json` or `.toml`), run
+/// [`ScenarioSpec::check`], and return the validated spec.
+pub fn load_scenario(path: &Path) -> Result<ScenarioSpec, LoadError> {
+    let text = std::fs::read_to_string(path).map_err(|e| LoadError {
+        path: path.to_path_buf(),
+        line: None,
+        msg: format!("cannot read scenario file: {e}"),
+    })?;
+    parse_scenario(&text, path, path.parent())
 }
 
 /// Load every `*.json` / `*.toml` directly inside `dir` (subdirectories

@@ -32,8 +32,11 @@
 //! Errors come back as `{"ok":false,"error":"…"}`; the daemon keeps
 //! serving. Requests are bounded at [`MAX_LINE_BYTES`] — an oversized
 //! line is answered with an error and never parsed, so a runaway client
-//! cannot balloon the daemon's memory. `trace` reports each entry's
-//! charged seconds as the hex
+//! cannot balloon the daemon's memory. The sizes an `init` asks for are
+//! bounded as well, before anything is allocated: at most [`MAX_CELLS`]
+//! cells, 1..=65536 shards, and a batch no larger than the matrix (a
+//! hand-edited `svc-config.json` meets the same bounds on restart).
+//! `trace` reports each entry's charged seconds as the hex
 //! [`f64::to_bits`] image, so two traces are equal if and only if the
 //! exploration histories are bit-identical — that is what the CI crash
 //! smoke diffs.
@@ -87,6 +90,11 @@ fn oversized_reply(line: &str) -> Option<String> {
         .render()
     })
 }
+
+/// Largest simulated workload the daemon accepts, in matrix cells
+/// (`n·k`): 2^25 cells is a 256 MiB dense `f64` oracle. One protocol
+/// line may not make the daemon allocate more than that.
+pub const MAX_CELLS: usize = 1 << 25;
 
 /// The persisted service environment: shape and seeds of the simulated
 /// workload plus the exploration batch size. Everything the engine's
@@ -142,6 +150,30 @@ impl ServiceConfig {
             batch: field("batch")? as usize,
             shards,
         })
+    }
+
+    /// Check the bounds every configuration must meet before anything is
+    /// allocated for it: positive sizes, `shards` in 1..=65536, at most
+    /// [`MAX_CELLS`] cells, and `batch` no larger than the matrix. Both
+    /// [`Service::init_with`] and [`Service::open_with`] run it, so a
+    /// hand-edited `svc-config.json` meets the same rules as an `init`.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if self.n == 0 || self.k == 0 || self.batch == 0 || self.shards == 0 {
+            return Err("n, k, batch and shards must be positive".into());
+        }
+        if self.shards > 1 << 16 {
+            return Err(format!("shards must be in 1..=65536, got {}", self.shards));
+        }
+        let cells = self.n.checked_mul(self.k).filter(|&c| c <= MAX_CELLS).ok_or_else(|| {
+            format!("a {}x{} workload exceeds the {MAX_CELLS}-cell limit", self.n, self.k)
+        })?;
+        if self.batch > cells {
+            return Err(format!(
+                "batch {} exceeds the {}x{} matrix size",
+                self.batch, self.n, self.k
+            ));
+        }
+        Ok(())
     }
 
     /// The configuration fingerprint stored in every snapshot; recovery
@@ -235,11 +267,7 @@ impl Service {
         cfg: ServiceConfig,
         crash_at: Option<u64>,
     ) -> Result<Self, PersistError> {
-        if cfg.n == 0 || cfg.k == 0 || cfg.batch == 0 || cfg.shards == 0 {
-            return Err(PersistError::Corrupt(
-                "init: n, k, batch and shards must be positive".into(),
-            ));
-        }
+        cfg.check().map_err(|msg| PersistError::Corrupt(format!("init: {msg}")))?;
         let truth = synthetic_truth(&cfg)?;
         let engine = build_engine(&cfg, &truth);
         let de =
@@ -269,6 +297,7 @@ impl Service {
         let text = fs::read_to_string(config_path(dir))?;
         let cfg = Json::parse(&text)
             .and_then(|v| ServiceConfig::from_json(&v))
+            .and_then(|cfg| cfg.check().map(|()| cfg).map_err(|msg| format!("svc-config: {msg}")))
             .map_err(PersistError::Corrupt)?;
         let truth = synthetic_truth(&cfg)?;
         let engine = build_engine(&cfg, &truth);
@@ -583,6 +612,37 @@ mod tests {
             .expect("zero shards must fail");
         assert!(err.contains("positive"), "{err}");
         assert!(!Service::exists(&dir));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn oversized_init_lines_are_rejected_before_allocating() {
+        let dir = test_dir("oversized");
+        for line in [
+            r#"{"op":"init","n":8,"k":4,"batch":1e15}"#,
+            r#"{"op":"init","n":8,"k":4,"shards":1e15}"#,
+            r#"{"op":"init","n":1e15,"k":4}"#,
+            r#"{"op":"init","n":4294967296,"k":4294967296}"#,
+            r#"{"op":"init","n":8,"k":4,"shards":65537}"#,
+            r#"{"op":"init","n":8,"k":4,"batch":33}"#,
+        ] {
+            assert!(handle_init(&dir, line, None).is_err(), "{line} must be rejected");
+            assert!(!Service::exists(&dir), "{line} must not initialize the directory");
+        }
+        // The bounds are inclusive.
+        let cfg =
+            ServiceConfig { n: MAX_CELLS / 4, k: 4, seed: 0, batch: MAX_CELLS, shards: 1 << 16 };
+        assert_eq!(cfg.check(), Ok(()));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_rejects_an_oversized_config_file() {
+        let dir = test_dir("oversized-open");
+        handle_init(&dir, r#"{"op":"init","n":8,"k":4,"seed":1,"batch":2}"#, None).unwrap();
+        fs::write(config_path(&dir), r#"{"n":1e15,"k":4,"seed":1,"batch":2}"#).unwrap();
+        let err = Service::open(&dir, None).err().expect("an oversized config must not open");
+        assert!(err.to_string().contains("cell limit"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,17 +1,18 @@
-//! The checked-in `scenarios/` corpus re-expresses the code registry as
-//! files. This suite pins the two halves together:
+//! The checked-in `scenarios/` corpus is the scenario registry:
+//! `limeqo_sim::scenario::registry()` and `scale_registry()` compile the
+//! files in through a table of `include_str!` lines. This suite pins the
+//! directory and the data around it:
 //!
-//! 1. **Spec equivalence** — every corpus file parses to a spec that is
-//!    `==` its code-registry twin, and every registry scenario has a
-//!    file. Since `run_scenario` is deterministic in the spec, spec
-//!    equality makes the corpus metrics bit-identical to the golden
-//!    suite's by construction; a direct bitwise metric comparison on the
-//!    cheap scenarios (and, under `--ignored`, the whole fast registry)
-//!    guards the construction itself.
-//! 2. **Serializer stability** — re-serializing each loaded file
-//!    reproduces its bytes, so `scenario export` is canonical and a
-//!    hand-edited file that drifts from canonical form shows up in
-//!    review as a rewrite, not a silent reformat.
+//! 1. **Table ⇔ directory** — every loadable file in `scenarios/` and
+//!    `scenarios/scale/` has a line in the registry's file table, and the
+//!    table names no scenario the directory lacks (a line whose file is
+//!    missing does not even compile). A file added without its line, or a
+//!    line dropped, fails here instead of silently leaving the scenario
+//!    out of the golden suite.
+//! 2. **Serializer stability** — re-serializing each registry file
+//!    reproduces its bytes, so a hand-edited file that drifts from
+//!    canonical form shows up in review as a rewrite, not a silent
+//!    reformat; a failure prints the canonical text to paste in.
 //! 3. **The extras** — `scenarios/extra/` holds hand-written specs for
 //!    the arrival knobs the registry does not exercise (bursts, bounded
 //!    concurrency, open-loop rates, CSV trace replay); they must parse,
@@ -21,10 +22,8 @@
 //! loadable specs that *violate the fuzzer's calibrated invariants*; they
 //! are exercised by `scenario_fuzz.rs`, not here.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use limeqo_bench::run_scenario;
 use limeqo_sim::scenario::{registry, scale_registry, ArrivalModel, ScenarioSpec};
 use limeqo_sim::{load_corpus, load_scenario, to_json_string, to_toml_string};
 
@@ -37,93 +36,63 @@ fn corpus() -> Vec<(PathBuf, ScenarioSpec)> {
     load_corpus(&root("scenarios")).expect("scenarios/ corpus loads")
 }
 
-#[test]
-fn corpus_reexpresses_the_fast_registry_exactly() {
-    let by_name: BTreeMap<String, ScenarioSpec> =
-        corpus().into_iter().map(|(_, s)| (s.name.clone(), s)).collect();
-    let reg = registry();
+fn sorted_names<'a>(specs: impl Iterator<Item = &'a ScenarioSpec>) -> Vec<&'a str> {
+    let mut names: Vec<&str> = specs.map(|s| s.name.as_str()).collect();
+    names.sort_unstable();
+    names
+}
+
+/// The files loaded from `dir` at run time must be exactly the registry's
+/// compiled-in table: the same names (duplicates included) and, name by
+/// name, the same specs.
+fn assert_table_matches_directory(
+    dir: &str,
+    files: &[(PathBuf, ScenarioSpec)],
+    reg: &[ScenarioSpec],
+) {
     assert_eq!(
-        by_name.keys().cloned().collect::<Vec<_>>(),
-        {
-            let mut names: Vec<String> = reg.iter().map(|s| s.name.clone()).collect();
-            names.sort();
-            names
-        },
-        "corpus files and registry scenarios must be the same set"
+        sorted_names(files.iter().map(|(_, s)| s)),
+        sorted_names(reg.iter()),
+        "the files in {dir} and the registry's file table must name the same scenarios \
+         (add or remove the table line in crates/sim/src/scenario.rs)"
     );
     for spec in reg {
-        assert_eq!(
-            by_name[&spec.name], spec,
-            "scenarios/{}.* differs from its code-registry twin",
-            spec.name
-        );
+        let (path, file) = files.iter().find(|(_, s)| s.name == spec.name).expect("same names");
+        assert_eq!(file, spec, "{} loads differently from its table line", path.display());
     }
 }
 
+/// Every top-level file in `scenarios/` has a line in the fast registry's
+/// table, and every line a file.
+#[test]
+fn corpus_reexpresses_the_fast_registry_exactly() {
+    assert_table_matches_directory("scenarios/", &corpus(), &registry());
+}
+
+/// Every file in `scenarios/scale/` has a line in the scale registry's
+/// table, and every line a file.
 #[test]
 fn scale_corpus_reexpresses_the_scale_registry_exactly() {
-    let by_name: BTreeMap<String, ScenarioSpec> = load_corpus(&root("scenarios/scale"))
-        .expect("scenarios/scale/ corpus loads")
-        .into_iter()
-        .map(|(_, s)| (s.name.clone(), s))
-        .collect();
-    let reg = scale_registry();
-    assert_eq!(by_name.len(), reg.len());
-    for spec in reg {
-        assert_eq!(by_name[&spec.name], spec, "scale corpus twin diverged for {}", spec.name);
-    }
+    let files = load_corpus(&root("scenarios/scale")).expect("scenarios/scale/ corpus loads");
+    assert_table_matches_directory("scenarios/scale/", &files, &scale_registry());
 }
 
+/// Every registry file, fast and scale, is in canonical serializer form.
+/// A file that is not fails with its canonical text, ready to paste over
+/// it.
 #[test]
 fn corpus_files_are_in_canonical_form() {
-    for (path, spec) in corpus() {
+    let scale = load_corpus(&root("scenarios/scale")).expect("scenarios/scale/ corpus loads");
+    for (path, spec) in corpus().into_iter().chain(scale) {
         let bytes = std::fs::read_to_string(&path).expect("corpus file readable");
         let canonical = match path.extension().and_then(|e| e.to_str()) {
             Some("toml") => to_toml_string(&spec),
             _ => to_json_string(&spec),
         };
-        assert_eq!(
-            bytes,
-            canonical,
-            "{} is not in canonical serializer form (regenerate with `scenario export`)",
-            path.display()
-        );
-    }
-}
-
-/// The direct half of the bit-identity claim: run two cheap scenarios
-/// from their files and from their code twins and require *exactly*
-/// equal metrics (no tolerance — same spec, same deterministic runner).
-#[test]
-fn cheap_corpus_files_produce_bit_identical_metrics() {
-    for name in ["tiny-headroom", "hint-prefix-9"] {
-        assert_bit_identical(name);
-    }
-}
-
-/// The full fast registry under `--ignored` (seconds per scenario).
-#[test]
-#[ignore = "runs the whole fast corpus twice; seconds per scenario"]
-fn every_corpus_file_produces_bit_identical_metrics() {
-    for spec in registry() {
-        assert_bit_identical(&spec.name);
-    }
-}
-
-fn assert_bit_identical(name: &str) {
-    let from_code = limeqo_sim::scenario::by_name(name).expect("registered scenario");
-    let (_, from_file) = corpus()
-        .into_iter()
-        .find(|(_, s)| s.name == name)
-        .unwrap_or_else(|| panic!("no corpus file for {name}"));
-    let (code_out, file_out) = (run_scenario(&from_code), run_scenario(&from_file));
-    let (code_metrics, file_metrics) = (code_out.metrics(), file_out.metrics());
-    assert_eq!(code_metrics.len(), file_metrics.len());
-    for ((k, code), (k2, file)) in code_metrics.iter().zip(file_metrics.iter()) {
-        assert_eq!(k, k2);
         assert!(
-            code.to_bits() == file.to_bits(),
-            "{k}: corpus-file run {file} != code-registry run {code} (bitwise)"
+            bytes == canonical,
+            "{} is not in canonical form; its canonical text is:\n{canonical}",
+            path.display()
         );
     }
 }
