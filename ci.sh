@@ -111,8 +111,9 @@ cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml
 # The files under scenarios/ are the scenario registry: every loadable
 # file there and in scenarios/scale/ must have its line in the registry's
 # include_str! table (and every line a file), every file must be in
-# canonical serializer form, and every pinned counterexample under
-# scenarios/broken/ must still be caught by the fuzzer's calibrated
+# canonical serializer form, nothing but .json specs, .csv traces and
+# README.md may live under scenarios/, and every pinned counterexample
+# under scenarios/broken/ must still be caught by the fuzzer's calibrated
 # invariants.
 echo "==> scenario corpus + fuzzer gates"
 cargo test --offline -q -p limeqo-integration-tests \
@@ -164,6 +165,20 @@ if [[ "$FAST" == "0" ]]; then
       exit 1
     fi
   done
+  # A spec past the 2^25-cell bound is a load error naming the file (exit
+  # 2), not an allocation abort in a worker.
+  HUGE_DIR="$(mktemp -d)"
+  sed 's/"n": 400,/"n": 1000000000000,/' scenarios/censor-hostile.json > "$HUGE_DIR/huge.json"
+  set +e
+  huge_err=$(target/release/scenario --dir "$HUGE_DIR" 2>&1 > /dev/null)
+  status=$?
+  set -e
+  rm -rf "$HUGE_DIR"
+  if [[ "$status" -ne 2 || "$huge_err" != *huge.json* ]]; then
+    echo "ci.sh: scenario --dir on an oversized spec exited $status, expected 2 naming the file:" >&2
+    echo "$huge_err" >&2
+    exit 1
+  fi
   echo "==> scenario fuzz smoke (seed 1, 8 cases)"
   cargo run --offline --release -q -p limeqo-bench --bin scenario -- fuzz --seed 1 --count 8
 fi
@@ -200,18 +215,18 @@ if [[ "$FAST" == "0" ]]; then
   echo "    killed at event 12 (exit $kill_status), recovered trace byte-identical"
 
   # Protocol error-path smoke: every malformed request in
-  # crates/svc/smoke/errors.ndjson (pre-init ops, non-JSON, oversized
-  # inits, duplicate init, unknown op, bad/missing fields) must get an
-  # {"ok":false,...} reply while the daemon keeps serving — 10 errors,
-  # 4 successes, clean exit. tests in crates/svc/src/lib.rs pin the same
+  # crates/svc/smoke/errors.ndjson (pre-init ops, non-JSON, a bad
+  # surrogate pair, oversized inits, duplicate init, unknown op, bad/missing
+  # fields) must get an {"ok":false,...} reply while the daemon keeps
+  # serving — 11 errors, 4 successes, clean exit. tests in crates/svc/src/lib.rs pin the same
   # paths in-process.
   echo "==> limeqo-svc protocol error-path smoke"
   "$SVC" --dir "$SMOKE_DIR/errors" --script crates/svc/smoke/errors.ndjson \
     > "$SMOKE_DIR/errors.out"
   err_count=$(grep -c '"ok":false' "$SMOKE_DIR/errors.out")
   ok_count=$(grep -c '"ok":true' "$SMOKE_DIR/errors.out")
-  if [[ "$err_count" -ne 10 || "$ok_count" -ne 4 ]]; then
-    echo "ci.sh: svc error smoke expected 10 error + 4 ok replies, got $err_count + $ok_count:" >&2
+  if [[ "$err_count" -ne 11 || "$ok_count" -ne 4 ]]; then
+    echo "ci.sh: svc error smoke expected 11 error + 4 ok replies, got $err_count + $ok_count:" >&2
     cat "$SMOKE_DIR/errors.out" >&2
     exit 1
   fi
@@ -219,7 +234,7 @@ if [[ "$FAST" == "0" ]]; then
     echo "ci.sh: svc error smoke: daemon did not survive to the final shutdown" >&2
     exit 1
   fi
-  echo "    10 error replies, 4 ok replies, daemon survived to shutdown"
+  echo "    11 error replies, 4 ok replies, daemon survived to shutdown"
 
   # Chaos smoke: a scripted append failure (--fault-at 20, mid tick 4)
   # inside a live daemon. The daemon must degrade rather than die: keep

@@ -12,7 +12,7 @@
 //! The default matrix is `limeqo_sim::scenario::registry()`, which is the
 //! top level of `scenarios/` compiled into the binary (`--scale`: the
 //! files under `scenarios/scale/`). `--dir DIR` reads the corpus in DIR
-//! at run time instead (`*.json` / `*.toml`, loaded with the `limeqo-sim`
+//! at run time instead (`*.json`, loaded with the `limeqo-sim`
 //! scenario loader), so a new or edited file runs with no recompile. A
 //! file that fails to parse or validate exits 2 with the offending path
 //! and line — the corpus is config, and config errors are user errors,

@@ -10,8 +10,8 @@
 //! * [`fuzz`] — property-based scenario fuzzing: runs generated specs
 //!   (from `limeqo_sim::scenario_fuzz`) through the runner, asserts the
 //!   calibrated invariants, minimizes and dumps failures for replay,
-//! * [`report`] — text tables, CSV and JSON emission (now with a minimal
-//!   parser for self-checking emitted documents) under `bench-results/`,
+//! * [`report`] — text tables, CSV and JSON emission under
+//!   `bench-results/`; its [`Json`] is `limeqo_core::json`'s, re-exported,
 //! * [`perf`] — the tracked perf trajectory: one-shot hot-path
 //!   measurements emitted as `bench-results/BENCH_policy.json`
 //!   (see PERF.md at the workspace root),

@@ -2,11 +2,17 @@
 //!
 //! Every figure binary prints a human-readable table (paper value next to
 //! measured value where the paper states one) and writes the raw series as
-//! CSV under `bench-results/` so EXPERIMENTS.md can reference them.
+//! CSV under `bench-results/` so EXPERIMENTS.md can reference them. JSON
+//! documents go through [`Json`], the workspace's one codec.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
+
+/// The workspace's JSON value (`limeqo_core::json`), re-exported for the
+/// machine-readable summaries written here and for the crates that read
+/// them back.
+pub use limeqo_core::json::Json;
 
 /// A simple aligned text table.
 #[derive(Debug, Clone)]
@@ -109,282 +115,6 @@ pub fn write_csv(name: &str, rows: &[Vec<String>]) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Minimal JSON value for machine-readable summaries (the scenario runner
-/// emits one object per scenario). Numbers render with Rust's shortest
-/// round-trip float formatting, so equal values always serialize to equal
-/// bytes — which is what makes the emitted report stable enough to diff.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null` (also used for non-finite numbers).
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A finite number.
-    Num(f64),
-    /// A string (escaped on render).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Serialize to a compact JSON string.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    /// Parse a JSON document (the subset [`Json`] itself renders: objects,
-    /// arrays, strings with the standard escapes, finite numbers, bools,
-    /// null). Used by the perf emitter's self-check — `BENCH_*.json` must
-    /// round-trip before CI trusts it.
-    pub fn parse(s: &str) -> std::result::Result<Json, String> {
-        let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Field lookup on an object (None for other variants or missing key).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_json_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_string(key, out);
-                    out.push(':');
-                    value.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Minimal recursive-descent parser behind [`Json::parse`].
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> std::result::Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> std::result::Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> std::result::Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {other:?} at offset {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> std::result::Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(format!("unexpected {other:?} in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> std::result::Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("unexpected {other:?} in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> std::result::Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> std::result::Result<Json, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>().map(Json::Num).map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-}
-
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Write a JSON document as `bench-results/<name>.json`.
 pub fn write_json(name: &str, value: &Json) -> std::io::Result<PathBuf> {
     let dir = results_dir();
@@ -442,11 +172,14 @@ mod tests {
     #[test]
     fn json_renders_compact_and_escaped() {
         let v = Json::Obj(vec![
-            ("name".into(), Json::Str("a\"b\\c\n".into())),
+            ("name".into(), Json::Str("a\"b\\c\n\r\t\u{1}".into())),
             ("ok".into(), Json::Bool(true)),
             ("vals".into(), Json::Arr(vec![Json::Num(1.5), Json::Num(f64::NAN), Json::Null])),
         ]);
-        assert_eq!(v.render(), r#"{"name":"a\"b\\c\n","ok":true,"vals":[1.5,null,null]}"#);
+        assert_eq!(
+            v.render(),
+            r#"{"name":"a\"b\\c\n\r\t\u0001","ok":true,"vals":[1.5,null,null]}"#
+        );
     }
 
     #[test]
@@ -474,6 +207,8 @@ mod tests {
         let parsed = Json::parse(" { \"k\" : [ 1 , \"\\u0041\" ] } ").unwrap();
         assert_eq!(parsed.get("k"), Some(&Json::Arr(vec![Json::Num(1.0), Json::Str("A".into())])));
         assert_eq!(parsed.get("k").and_then(|v| v.as_num()), None);
+        let escapes = r#""\/\b\f\ud83d\ude00\udbff\udfff""#;
+        assert_eq!(Json::parse(escapes), Ok(Json::Str("/\u{8}\u{c}😀\u{10FFFF}".into())));
     }
 
     #[test]
@@ -484,6 +219,10 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+        for bad in ["-", "[1 2]", "{\"a\" 1}", "{1:2}", "\"a\nb\"", "\"\\q\"", "\"\\u+041\"", "é"]
+        {
+            assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+        }
     }
 
     #[test]

@@ -38,6 +38,9 @@
 //!   which every policy's selection path routes through,
 //! * [`metrics`] — latency-vs-exploration-time curves and the summary
 //!   statistics the paper's figures report,
+//! * [`json`] — the workspace's one JSON codec: the [`json::Json`] value,
+//!   the line-tracking parser the scenario loader reports errors through,
+//!   and the compact and multi-line writers,
 //! * [`scenario`] — declarative [`scenario::PolicySpec`]s, the policy side
 //!   of the scenario engine (`limeqo-sim` declares the environments, the
 //!   bench runner executes the cross product).
@@ -55,6 +58,7 @@ pub mod complete;
 pub mod engine;
 pub mod explore;
 pub mod fault;
+pub mod json;
 pub mod matrix;
 pub mod metrics;
 pub mod online;
@@ -71,7 +75,8 @@ pub use fault::{
     FaultAt, FaultKind, FaultProbe, FaultScript, FaultStorage, FsStorage, OpClass, ScriptedFault,
     Storage, StorageFile,
 };
-pub use matrix::{Cell, WorkloadMatrix};
+pub use json::Json;
+pub use matrix::{Cell, WorkloadMatrix, MAX_CELLS};
 pub use metrics::{Curve, CurvePoint};
 pub use online::{OnlineConfig, OnlineExplorer, OnlineStats};
 pub use persist::{DurableConfig, DurableEngine, PersistError};

@@ -46,6 +46,11 @@
 use limeqo_linalg::Fenwick;
 use limeqo_linalg::Mat;
 
+/// Largest workload matrix, in cells (`n·k`), that a scenario spec or a
+/// daemon `init` may ask for: 2^25 cells is a 256 MiB dense `f64` matrix.
+/// Both check it with `checked_mul` before anything is allocated.
+pub const MAX_CELLS: usize = 1 << 25;
+
 /// State of one (query, hint) cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Cell {

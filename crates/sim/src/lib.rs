@@ -62,5 +62,5 @@ pub use scenario::{
     ArrivalModel, ArrivalSpec, DriftEvent, DriftKind, HintShape, ScenarioSpec, ScenarioWorkload,
     SyntheticSpec,
 };
-pub use scenario_file::{load_corpus, load_scenario, to_json_string, to_toml_string, LoadError};
+pub use scenario_file::{load_corpus, load_scenario, to_json_string, LoadError};
 pub use workloads::{OracleMatrices, Workload, WorkloadSpec};

@@ -25,6 +25,7 @@ use std::path::Path;
 use crate::scenario_file::parse_scenario;
 use crate::workloads::WorkloadSpec;
 use limeqo_core::scenario::PolicySpec;
+use limeqo_core::MAX_CELLS;
 use limeqo_linalg::rng::SeededRng;
 use limeqo_linalg::Mat;
 
@@ -46,6 +47,15 @@ impl ScenarioWorkload {
         match self {
             ScenarioWorkload::Sim(spec) => spec.n_queries,
             ScenarioWorkload::Synthetic(spec) => spec.n,
+        }
+    }
+
+    /// Hint columns of the full hint space, before any [`HintShape`].
+    pub(crate) fn full_columns(&self) -> usize {
+        match self {
+            // The simulated DBMS always exposes the 49-hint interface.
+            ScenarioWorkload::Sim(_) => crate::hints::HintSpace::all().len(),
+            ScenarioWorkload::Synthetic(spec) => spec.k,
         }
     }
 }
@@ -366,11 +376,7 @@ impl ScenarioSpec {
     /// hint shape is applied, or an error when the shape is out of bounds
     /// for the workload's full hint space.
     pub fn shaped_columns(&self) -> Result<usize, String> {
-        let full_k = match &self.workload {
-            // The simulated DBMS always exposes the 49-hint interface.
-            ScenarioWorkload::Sim(_) => crate::hints::HintSpace::all().len(),
-            ScenarioWorkload::Synthetic(spec) => spec.k,
-        };
+        let full_k = self.workload.full_columns();
         match self.hint_shape {
             HintShape::Full => Ok(full_k),
             HintShape::Prefix(n) => {
@@ -472,6 +478,15 @@ impl ScenarioSpec {
             Ok(k) => k,
             Err(msg) => return fail(msg),
         };
+        // The oracle is built at the full hint width before the shape
+        // selects columns, so the bound is on that matrix; the shaped one
+        // is no larger.
+        let full_k = self.workload.full_columns();
+        if n.checked_mul(full_k).map_or(true, |cells| cells > MAX_CELLS) {
+            return fail(format!(
+                "workload: a {n}x{full_k} matrix exceeds the {MAX_CELLS}-cell limit"
+            ));
+        }
         if self.batch > n * shaped_k {
             return fail(format!(
                 "batch: batch {} exceeds the {n}x{shaped_k} matrix size",
@@ -571,7 +586,7 @@ macro_rules! scenario_files {
 /// The files behind [`registry`], in registry order.
 const FAST_FILES: &[(&str, &str)] = scenario_files![
     "job-mini.json",
-    "heavy-tail.toml",
+    "heavy-tail.json",
     "tiny-headroom.json",
     "template-drift.json",
     "data-shift.json",
@@ -580,8 +595,8 @@ const FAST_FILES: &[(&str, &str)] = scenario_files![
     "censor-hostile.json",
     "large-matrix-10k.json",
     "online-uniform.json",
-    "online-zipf.toml",
-    "data-shift-retained.toml",
+    "online-zipf.json",
+    "data-shift-retained.json",
     "incremental-tunnel.json",
     "zipf-cold-bonus.json",
     "incremental-als.json",
@@ -878,6 +893,27 @@ mod tests {
         assert!(synth(&|s| s.rank = 50).contains("rank"));
         assert!(synth(&|s| s.default_inflation = 0.0).contains("default_inflation"));
         assert!(synth(&|s| s.noise_sigma = -0.1).contains("noise_sigma"));
+    }
+
+    #[test]
+    fn check_bounds_the_matrix_without_overflowing() {
+        let mut spec = base_offline();
+        let ScenarioWorkload::Synthetic(w) = &mut spec.workload else { panic!("synthetic") };
+        // n·k overflows usize: an error, not a debug-build panic.
+        (w.n, w.k) = (1 << 40, 1 << 40);
+        assert!(spec.check().unwrap_err().contains("cell limit"));
+        // The bound is inclusive.
+        let ScenarioWorkload::Synthetic(w) = &mut spec.workload else { panic!("synthetic") };
+        (w.n, w.k) = (MAX_CELLS / 32, 32);
+        assert_eq!(spec.check(), Ok(()));
+        let ScenarioWorkload::Synthetic(w) = &mut spec.workload else { panic!("synthetic") };
+        w.n += 1;
+        assert!(spec.check().unwrap_err().contains("cell limit"));
+        // A simulated workload is bounded at the full 49-hint width.
+        let mut sim = by_name("job-mini").unwrap();
+        let ScenarioWorkload::Sim(w) = &mut sim.workload else { panic!("sim") };
+        w.n_queries = MAX_CELLS / 49 + 1;
+        assert!(sim.check().unwrap_err().contains("cell limit"));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Config-file loader for [`ScenarioSpec`]: scenarios as data, not code.
 //!
-//! A scenario file is JSON (`.json`) or a TOML subset (`.toml`) describing
-//! exactly the fields of [`ScenarioSpec`]. The loader is dependency-free:
-//! both parsers live here, track line numbers, and decode through a single
-//! strict schema so every error names the file, the line, and the field
-//! path (`scenarios/job-mini.json:14: policy.limeqo_als.rank: expected a
+//! A scenario file is JSON (`.json`) describing exactly the fields of
+//! [`ScenarioSpec`]. The file is read by `limeqo_core::json`'s
+//! line-tracking parser and decoded here through a single strict schema,
+//! so every error names the file, the line, and the field path
+//! (`scenarios/job-mini.json:14: policy.limeqo_als.rank: expected a
 //! non-negative integer`). Unknown keys are errors — a typoed knob must
 //! never be silently ignored.
 //!
@@ -12,18 +12,13 @@
 //! named registry: [`crate::scenario::registry`] and
 //! [`crate::scenario::scale_registry`] compile them in and parse them here.
 //!
-//! The serializers ([`to_json_string`], [`to_toml_string`]) emit canonical
-//! files whose round trip is *exact*: floats print through Rust's
-//! shortest-representation formatter, which re-parses bit for bit, and
-//! [`ScenarioSpec::check`] rejects seeds above 2^53 up front. The corpus
-//! test in `tests/tests/scenario_corpus.rs` holds every file in
-//! `scenarios/` to that canonical form, and the fuzzer dumps its
-//! minimized failures through [`to_json_string`].
-//!
-//! The TOML dialect is the subset the serializer emits plus the obvious
-//! human conveniences: `[table]` / `[[array-of-tables]]` headers, dotted
-//! keys, basic strings, numbers (with `_` separators), booleans, arrays
-//! (multi-line allowed), inline tables, and `#` comments.
+//! The serializer ([`to_json_string`]) emits canonical files whose round
+//! trip is *exact*: floats print through Rust's shortest-representation
+//! formatter, which re-parses bit for bit, and [`ScenarioSpec::check`]
+//! rejects seeds above 2^53 up front. The corpus test in
+//! `tests/tests/scenario_corpus.rs` holds every registry file to that
+//! canonical form, and the fuzzer dumps its minimized failures through
+//! [`to_json_string`].
 
 use std::path::{Path, PathBuf};
 
@@ -34,6 +29,7 @@ use crate::scenario::{
     SyntheticSpec,
 };
 use crate::workloads::{ClassMix, WorkloadSpec};
+use limeqo_core::json::{parse_located, Json, Located, Node};
 use limeqo_core::scenario::PolicySpec;
 use limeqo_core::store::DriftPolicy;
 
@@ -60,587 +56,7 @@ impl std::fmt::Display for LoadError {
 impl std::error::Error for LoadError {}
 
 // ---------------------------------------------------------------------------
-// Value tree (shared by both parsers)
-
-#[derive(Debug, Clone, PartialEq)]
-enum Node {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct Value {
-    node: Node,
-    line: usize,
-}
-
-impl Value {
-    fn new(node: Node, line: usize) -> Self {
-        Value { node, line }
-    }
-
-    fn kind(&self) -> &'static str {
-        match self.node {
-            Node::Null => "null",
-            Node::Bool(_) => "a boolean",
-            Node::Num(_) => "a number",
-            Node::Str(_) => "a string",
-            Node::Arr(_) => "an array",
-            Node::Obj(_) => "a table",
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// JSON parser (line-tracking)
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-}
-
-type ParseResult<T> = Result<T, (usize, String)>;
-
-impl<'a> JsonParser<'a> {
-    fn new(src: &'a str) -> Self {
-        JsonParser { bytes: src.as_bytes(), pos: 0, line: 1 }
-    }
-
-    fn parse(src: &str) -> ParseResult<Value> {
-        let mut p = JsonParser::new(src);
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err((p.line, "trailing content after the top-level value".into()));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'\n' => {
-                    self.line += 1;
-                    self.pos += 1;
-                }
-                b' ' | b'\t' | b'\r' => self.pos += 1,
-                _ => break,
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> ParseResult<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err((self.line, format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> ParseResult<Value> {
-        self.skip_ws();
-        let line = self.line;
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::new(Node::Str(self.string()?), line)),
-            Some(b't') => self.keyword("true", Node::Bool(true)),
-            Some(b'f') => self.keyword("false", Node::Bool(false)),
-            Some(b'n') => self.keyword("null", Node::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err((line, format!("unexpected character {:?}", c as char))),
-            None => Err((line, "unexpected end of input".into())),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, node: Node) -> ParseResult<Value> {
-        let line = self.line;
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(Value::new(node, line))
-        } else {
-            Err((line, format!("expected {word:?}")))
-        }
-    }
-
-    fn number(&mut self) -> ParseResult<Value> {
-        let line = self.line;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        let v: f64 = text.parse().map_err(|_| (line, format!("invalid number {text:?}")))?;
-        Ok(Value::new(Node::Num(v), line))
-    }
-
-    fn string(&mut self) -> ParseResult<String> {
-        let line = self.line;
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err((line, "unterminated string".into())),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or((line, "unterminated escape".to_string()))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => out.push(self.unicode_escape(line)?),
-                        other => return Err((line, format!("unknown escape \\{}", other as char))),
-                    }
-                }
-                Some(b'\n') => return Err((line, "unterminated string".into())),
-                Some(b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar verbatim.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| (line, "invalid UTF-8 in string".to_string()))?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn unicode_escape(&mut self, line: usize) -> ParseResult<char> {
-        let hex4 = |p: &mut Self| -> ParseResult<u32> {
-            let end = p.pos + 4;
-            let s = p
-                .bytes
-                .get(p.pos..end)
-                .and_then(|b| std::str::from_utf8(b).ok())
-                .ok_or((line, "truncated \\u escape".to_string()))?;
-            let v = u32::from_str_radix(s, 16).map_err(|_| (line, "bad \\u escape".to_string()))?;
-            p.pos = end;
-            Ok(v)
-        };
-        let hi = hex4(self)?;
-        if (0xD800..0xDC00).contains(&hi) {
-            // Surrogate pair.
-            if self.bytes.get(self.pos) == Some(&b'\\')
-                && self.bytes.get(self.pos + 1) == Some(&b'u')
-            {
-                self.pos += 2;
-                let lo = hex4(self)?;
-                let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                return char::from_u32(c).ok_or((line, "bad surrogate pair".into()));
-            }
-            return Err((line, "lone surrogate in \\u escape".into()));
-        }
-        char::from_u32(hi).ok_or((line, "bad \\u escape".into()))
-    }
-
-    fn object(&mut self) -> ParseResult<Value> {
-        let line = self.line;
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::new(Node::Obj(fields), line));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':').map_err(|_| (self.line, "expected ':' after key".to_string()))?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::new(Node::Obj(fields), line));
-                }
-                _ => return Err((self.line, "expected ',' or '}' in object".into())),
-            }
-        }
-    }
-
-    fn array(&mut self) -> ParseResult<Value> {
-        let line = self.line;
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::new(Node::Arr(items), line));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::new(Node::Arr(items), line));
-                }
-                _ => return Err((self.line, "expected ',' or ']' in array".into())),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TOML parser (the documented subset, line-tracking)
-
-struct TomlParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-    root: Value,
-    /// Path of the currently open `[table]` / `[[array-of-tables]]`.
-    current: Vec<String>,
-}
-
-impl<'a> TomlParser<'a> {
-    fn parse(src: &'a str) -> ParseResult<Value> {
-        let mut p = TomlParser {
-            bytes: src.as_bytes(),
-            pos: 0,
-            line: 1,
-            root: Value::new(Node::Obj(Vec::new()), 1),
-            current: Vec::new(),
-        };
-        p.run()?;
-        Ok(p.root)
-    }
-
-    fn run(&mut self) -> ParseResult<()> {
-        loop {
-            self.skip_trivia();
-            match self.peek() {
-                None => return Ok(()),
-                Some(b'[') => self.header()?,
-                Some(_) => self.key_value()?,
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    /// Skip whitespace, newlines, and comments between statements.
-    fn skip_trivia(&mut self) {
-        while let Some(b) = self.peek() {
-            match b {
-                b'\n' => {
-                    self.line += 1;
-                    self.pos += 1;
-                }
-                b' ' | b'\t' | b'\r' => self.pos += 1,
-                b'#' => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// Skip spaces/tabs only (within a statement line).
-    fn skip_inline_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ') | Some(b'\t') | Some(b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_eol(&mut self) -> ParseResult<()> {
-        self.skip_inline_ws();
-        match self.peek() {
-            None | Some(b'\n') => Ok(()),
-            Some(b'#') => Ok(()), // comment runs to end of line
-            Some(c) => Err((self.line, format!("expected end of line, found {:?}", c as char))),
-        }
-    }
-
-    fn header(&mut self) -> ParseResult<()> {
-        let line = self.line;
-        self.pos += 1; // consume '['
-        let array = self.peek() == Some(b'[');
-        if array {
-            self.pos += 1;
-        }
-        self.skip_inline_ws();
-        let path = self.dotted_key()?;
-        self.skip_inline_ws();
-        if self.peek() != Some(b']') {
-            return Err((line, "expected ']' closing the table header".into()));
-        }
-        self.pos += 1;
-        if array {
-            if self.peek() != Some(b']') {
-                return Err((line, "expected ']]' closing the array-of-tables header".into()));
-            }
-            self.pos += 1;
-        }
-        self.expect_eol()?;
-        if array {
-            // Append a fresh element to the array at `path`.
-            let parent = navigate(&mut self.root, &path[..path.len() - 1], line)?;
-            let key = path.last().expect("non-empty header path");
-            let slot = match &mut parent.node {
-                Node::Obj(fields) => {
-                    if let Some(i) = fields.iter().position(|(k, _)| k == key) {
-                        &mut fields[i].1
-                    } else {
-                        fields.push((key.clone(), Value::new(Node::Arr(Vec::new()), line)));
-                        &mut fields.last_mut().expect("just pushed").1
-                    }
-                }
-                _ => return Err((line, format!("{key} is not a table"))),
-            };
-            match &mut slot.node {
-                Node::Arr(items) => items.push(Value::new(Node::Obj(Vec::new()), line)),
-                _ => return Err((line, format!("[[{key}]] conflicts with a non-array value"))),
-            }
-        } else {
-            navigate(&mut self.root, &path, line)?;
-        }
-        self.current = path;
-        Ok(())
-    }
-
-    fn key_value(&mut self) -> ParseResult<()> {
-        let line = self.line;
-        let key_path = self.dotted_key()?;
-        self.skip_inline_ws();
-        if self.peek() != Some(b'=') {
-            return Err((line, "expected '=' after key".into()));
-        }
-        self.pos += 1;
-        self.skip_inline_ws();
-        let value = self.value()?;
-        self.expect_eol()?;
-        let mut full = self.current.clone();
-        full.extend(key_path.iter().cloned());
-        let (leaf, parents) = full.split_last().expect("non-empty key");
-        let table = navigate(&mut self.root, parents, line)?;
-        match &mut table.node {
-            Node::Obj(fields) => {
-                if fields.iter().any(|(k, _)| k == leaf) {
-                    return Err((line, format!("duplicate key {leaf:?}")));
-                }
-                fields.push((leaf.clone(), value));
-            }
-            _ => return Err((line, format!("cannot set key inside non-table {leaf:?}"))),
-        }
-        Ok(())
-    }
-
-    fn dotted_key(&mut self) -> ParseResult<Vec<String>> {
-        let mut path = vec![self.key_segment()?];
-        loop {
-            self.skip_inline_ws();
-            if self.peek() == Some(b'.') {
-                self.pos += 1;
-                self.skip_inline_ws();
-                path.push(self.key_segment()?);
-            } else {
-                return Ok(path);
-            }
-        }
-    }
-
-    fn key_segment(&mut self) -> ParseResult<String> {
-        match self.peek() {
-            Some(b'"') => self.basic_string(),
-            Some(c) if c.is_ascii_alphanumeric() || c == b'_' || c == b'-' => {
-                let start = self.pos;
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_alphanumeric() || c == b'_' || c == b'-' {
-                        self.pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                Ok(std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii").to_string())
-            }
-            _ => Err((self.line, "expected a key".into())),
-        }
-    }
-
-    fn value(&mut self) -> ParseResult<Value> {
-        let line = self.line;
-        match self.peek() {
-            Some(b'"') => Ok(Value::new(Node::Str(self.basic_string()?), line)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.inline_table(),
-            Some(b't') | Some(b'f') => {
-                let word = if self.peek() == Some(b't') { "true" } else { "false" };
-                if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                    self.pos += word.len();
-                    Ok(Value::new(Node::Bool(word == "true"), line))
-                } else {
-                    Err((line, "expected a boolean".into()))
-                }
-            }
-            Some(c) if c == b'-' || c == b'+' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err((line, format!("unexpected character {:?} in value", c as char))),
-            None => Err((line, "unexpected end of input in value".into())),
-        }
-    }
-
-    fn number(&mut self) -> ParseResult<Value> {
-        let line = self.line;
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'_') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        let text: String = raw.chars().filter(|&c| c != '_').collect();
-        let v: f64 = text.parse().map_err(|_| (line, format!("invalid number {raw:?}")))?;
-        Ok(Value::new(Node::Num(v), line))
-    }
-
-    fn basic_string(&mut self) -> ParseResult<String> {
-        // Shares JSON's escape grammar, which covers TOML basic strings
-        // for every file the serializer emits.
-        let mut sub = JsonParser { bytes: self.bytes, pos: self.pos, line: self.line };
-        let s = sub.string()?;
-        self.pos = sub.pos;
-        self.line = sub.line;
-        Ok(s)
-    }
-
-    fn array(&mut self) -> ParseResult<Value> {
-        let line = self.line;
-        self.pos += 1; // '['
-        let mut items = Vec::new();
-        loop {
-            self.skip_trivia();
-            match self.peek() {
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::new(Node::Arr(items), line));
-                }
-                None => return Err((line, "unterminated array".into())),
-                _ => {
-                    items.push(self.value()?);
-                    self.skip_trivia();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {}
-                        _ => return Err((self.line, "expected ',' or ']' in array".into())),
-                    }
-                }
-            }
-        }
-    }
-
-    fn inline_table(&mut self) -> ParseResult<Value> {
-        let line = self.line;
-        self.pos += 1; // '{'
-        let mut fields = Vec::new();
-        self.skip_inline_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::new(Node::Obj(fields), line));
-        }
-        loop {
-            self.skip_inline_ws();
-            let key = self.key_segment()?;
-            self.skip_inline_ws();
-            if self.peek() != Some(b'=') {
-                return Err((self.line, "expected '=' in inline table".into()));
-            }
-            self.pos += 1;
-            self.skip_inline_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_inline_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::new(Node::Obj(fields), line));
-                }
-                _ => return Err((self.line, "expected ',' or '}' in inline table".into())),
-            }
-        }
-    }
-}
-
-/// Walk (and create) the table at `path`, descending into the *last*
-/// element of any array-of-tables on the way — the TOML rule that makes
-/// `[drift.kind]` after `[[drift]]` refer to the newest event.
-fn navigate<'v>(root: &'v mut Value, path: &[String], line: usize) -> ParseResult<&'v mut Value> {
-    let mut cur = root;
-    for seg in path {
-        cur = descend_one(cur, seg, line)?;
-    }
-    into_open_table(cur, line)
-}
-
-/// Descend through an array-of-tables to its open (last) element; tables
-/// pass through unchanged.
-fn into_open_table(v: &mut Value, line: usize) -> ParseResult<&mut Value> {
-    if matches!(v.node, Node::Arr(_)) {
-        let Node::Arr(items) = &mut v.node else { unreachable!() };
-        return items.last_mut().ok_or((line, "empty array of tables".to_string()));
-    }
-    Ok(v)
-}
-
-fn descend_one<'v>(v: &'v mut Value, seg: &str, line: usize) -> ParseResult<&'v mut Value> {
-    let v = into_open_table(v, line)?;
-    match &mut v.node {
-        Node::Obj(fields) => {
-            let idx = if let Some(i) = fields.iter().position(|(k, _)| k == seg) {
-                i
-            } else {
-                fields.push((seg.to_string(), Value::new(Node::Obj(Vec::new()), line)));
-                fields.len() - 1
-            };
-            Ok(&mut fields[idx].1)
-        }
-        _ => Err((line, format!("{seg} is inside a non-table value"))),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Decoder: Value -> ScenarioSpec, strict schema with path-qualified errors
+// Decoder: Located -> ScenarioSpec, strict schema with path-qualified errors
 
 struct Dec<'a> {
     file: &'a Path,
@@ -658,42 +74,42 @@ impl<'a> Dec<'a> {
         }
     }
 
-    fn obj<'v>(&self, v: &'v Value, path: &str) -> Result<&'v [(String, Value)], LoadError> {
+    fn obj<'v>(&self, v: &'v Located, path: &str) -> Result<&'v [(String, Located)], LoadError> {
         match &v.node {
             Node::Obj(fields) => Ok(fields),
-            _ => Err(self.err(v.line, path, format!("expected a table, found {}", v.kind()))),
+            _ => Err(self.err(v.line, path, format!("expected an object, found {}", v.kind()))),
         }
     }
 
-    fn arr<'v>(&self, v: &'v Value, path: &str) -> Result<&'v [Value], LoadError> {
+    fn arr<'v>(&self, v: &'v Located, path: &str) -> Result<&'v [Located], LoadError> {
         match &v.node {
             Node::Arr(items) => Ok(items),
             _ => Err(self.err(v.line, path, format!("expected an array, found {}", v.kind()))),
         }
     }
 
-    fn str<'v>(&self, v: &'v Value, path: &str) -> Result<&'v str, LoadError> {
+    fn str<'v>(&self, v: &'v Located, path: &str) -> Result<&'v str, LoadError> {
         match &v.node {
             Node::Str(s) => Ok(s),
             _ => Err(self.err(v.line, path, format!("expected a string, found {}", v.kind()))),
         }
     }
 
-    fn f64(&self, v: &Value, path: &str) -> Result<f64, LoadError> {
+    fn f64(&self, v: &Located, path: &str) -> Result<f64, LoadError> {
         match v.node {
             Node::Num(n) => Ok(n),
             _ => Err(self.err(v.line, path, format!("expected a number, found {}", v.kind()))),
         }
     }
 
-    fn bool(&self, v: &Value, path: &str) -> Result<bool, LoadError> {
+    fn bool(&self, v: &Located, path: &str) -> Result<bool, LoadError> {
         match v.node {
             Node::Bool(b) => Ok(b),
             _ => Err(self.err(v.line, path, format!("expected a boolean, found {}", v.kind()))),
         }
     }
 
-    fn usize(&self, v: &Value, path: &str) -> Result<usize, LoadError> {
+    fn usize(&self, v: &Located, path: &str) -> Result<usize, LoadError> {
         let n = self.f64(v, path)?;
         if n.fract() != 0.0 || n < 0.0 || n > (1u64 << 53) as f64 {
             return Err(self.err(v.line, path, "expected a non-negative integer"));
@@ -701,11 +117,11 @@ impl<'a> Dec<'a> {
         Ok(n as usize)
     }
 
-    fn u64(&self, v: &Value, path: &str) -> Result<u64, LoadError> {
+    fn u64(&self, v: &Located, path: &str) -> Result<u64, LoadError> {
         Ok(self.usize(v, path)? as u64)
     }
 
-    fn pair_f64(&self, v: &Value, path: &str) -> Result<(f64, f64), LoadError> {
+    fn pair_f64(&self, v: &Located, path: &str) -> Result<(f64, f64), LoadError> {
         let items = self.arr(v, path)?;
         if items.len() != 2 {
             return Err(self.err(v.line, path, "expected a 2-element array"));
@@ -713,7 +129,7 @@ impl<'a> Dec<'a> {
         Ok((self.f64(&items[0], path)?, self.f64(&items[1], path)?))
     }
 
-    fn pair_usize(&self, v: &Value, path: &str) -> Result<(usize, usize), LoadError> {
+    fn pair_usize(&self, v: &Located, path: &str) -> Result<(usize, usize), LoadError> {
         let items = self.arr(v, path)?;
         if items.len() != 2 {
             return Err(self.err(v.line, path, "expected a 2-element array"));
@@ -721,24 +137,24 @@ impl<'a> Dec<'a> {
         Ok((self.usize(&items[0], path)?, self.usize(&items[1], path)?))
     }
 
-    fn get<'v>(&self, fields: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
+    fn get<'v>(&self, fields: &'v [(String, Located)], key: &str) -> Option<&'v Located> {
         fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     fn req<'v>(
         &self,
-        owner: &Value,
-        fields: &'v [(String, Value)],
+        owner: &Located,
+        fields: &'v [(String, Located)],
         key: &str,
         path: &str,
-    ) -> Result<&'v Value, LoadError> {
+    ) -> Result<&'v Located, LoadError> {
         self.get(fields, key)
             .ok_or_else(|| self.err(owner.line, path, format!("missing required key {key:?}")))
     }
 
     fn no_unknown(
         &self,
-        fields: &[(String, Value)],
+        fields: &[(String, Located)],
         allowed: &[&str],
         path: &str,
     ) -> Result<(), LoadError> {
@@ -754,14 +170,14 @@ impl<'a> Dec<'a> {
         Ok(())
     }
 
-    /// A table that must contain exactly one of `variants` — the encoding
+    /// An object that must contain exactly one of `variants` — the encoding
     /// of every tagged enum in the schema.
     fn single_variant<'v>(
         &self,
-        v: &'v Value,
+        v: &'v Located,
         variants: &[&str],
         path: &str,
-    ) -> Result<(&'v str, &'v Value), LoadError> {
+    ) -> Result<(&'v str, &'v Located), LoadError> {
         let fields = self.obj(v, path)?;
         self.no_unknown(fields, variants, path)?;
         if fields.len() != 1 {
@@ -775,7 +191,7 @@ impl<'a> Dec<'a> {
         Ok((k.as_str(), inner))
     }
 
-    fn spec(&self, v: &Value) -> Result<ScenarioSpec, LoadError> {
+    fn spec(&self, v: &Located) -> Result<ScenarioSpec, LoadError> {
         let fields = self.obj(v, "")?;
         self.no_unknown(
             fields,
@@ -864,7 +280,7 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn workload(&self, v: &Value) -> Result<ScenarioWorkload, LoadError> {
+    fn workload(&self, v: &Located) -> Result<ScenarioWorkload, LoadError> {
         let (tag, inner) = self.single_variant(v, &["sim", "synthetic"], "workload")?;
         match tag {
             "sim" => Ok(ScenarioWorkload::Sim(self.workload_sim(inner)?)),
@@ -872,7 +288,7 @@ impl<'a> Dec<'a> {
         }
     }
 
-    fn workload_sim(&self, v: &Value) -> Result<WorkloadSpec, LoadError> {
+    fn workload_sim(&self, v: &Located) -> Result<WorkloadSpec, LoadError> {
         let p = "workload.sim";
         let fields = self.obj(v, p)?;
         self.no_unknown(
@@ -890,7 +306,7 @@ impl<'a> Dec<'a> {
         )?;
         let templates = match self.get(fields, "templates") {
             None => None,
-            Some(Value { node: Node::Null, .. }) => None,
+            Some(Located { node: Node::Null, .. }) => None,
             Some(tv) => Some(self.usize(tv, "workload.sim.templates")?),
         };
         Ok(WorkloadSpec {
@@ -912,7 +328,7 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn catalog(&self, v: &Value) -> Result<CatalogSpec, LoadError> {
+    fn catalog(&self, v: &Located) -> Result<CatalogSpec, LoadError> {
         let p = "workload.sim.catalog";
         let fields = self.obj(v, p)?;
         self.no_unknown(
@@ -933,7 +349,7 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn class_mix(&self, v: &Value) -> Result<ClassMix, LoadError> {
+    fn class_mix(&self, v: &Located) -> Result<ClassMix, LoadError> {
         let p = "workload.sim.class_mix";
         let fields = self.obj(v, p)?;
         self.no_unknown(
@@ -987,7 +403,7 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn synthetic(&self, v: &Value) -> Result<SyntheticSpec, LoadError> {
+    fn synthetic(&self, v: &Located) -> Result<SyntheticSpec, LoadError> {
         let p = "workload.synthetic";
         let fields = self.obj(v, p)?;
         self.no_unknown(
@@ -1009,14 +425,14 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn hint_shape(&self, v: &Value) -> Result<HintShape, LoadError> {
+    fn hint_shape(&self, v: &Located) -> Result<HintShape, LoadError> {
         if let Node::Str(s) = &v.node {
             return match s.as_str() {
                 "full" => Ok(HintShape::Full),
                 other => Err(self.err(
                     v.line,
                     "hint_shape",
-                    format!("unknown hint shape {other:?} (\"full\", or a prefix/strided table)"),
+                    format!("unknown hint shape {other:?} (\"full\", or a prefix/strided object)"),
                 )),
             };
         }
@@ -1027,7 +443,7 @@ impl<'a> Dec<'a> {
         }
     }
 
-    fn drift_event(&self, v: &Value) -> Result<DriftEvent, LoadError> {
+    fn drift_event(&self, v: &Located) -> Result<DriftEvent, LoadError> {
         let p = "drift";
         let fields = self.obj(v, p)?;
         self.no_unknown(fields, &["at_frac", "kind"], p)?;
@@ -1060,7 +476,7 @@ impl<'a> Dec<'a> {
         Ok(DriftEvent { at_frac, kind })
     }
 
-    fn policy(&self, v: &Value) -> Result<PolicySpec, LoadError> {
+    fn policy(&self, v: &Located) -> Result<PolicySpec, LoadError> {
         if let Node::Str(s) = &v.node {
             return match s.as_str() {
                 "random" => Ok(PolicySpec::Random),
@@ -1072,7 +488,7 @@ impl<'a> Dec<'a> {
                     "policy",
                     format!(
                         "unknown policy {other:?} (random, greedy, qo-advisor, \
-                         limeqo-wocensored, or a limeqo_als/online_als table)"
+                         limeqo-wocensored, or a limeqo_als/online_als object)"
                     ),
                 )),
             };
@@ -1136,7 +552,7 @@ impl<'a> Dec<'a> {
         }
     }
 
-    fn drift_policy(&self, v: &Value) -> Result<DriftPolicy, LoadError> {
+    fn drift_policy(&self, v: &Located) -> Result<DriftPolicy, LoadError> {
         let p = "policy.limeqo_als.drift";
         let fields = self.obj(v, p)?;
         self.no_unknown(
@@ -1156,7 +572,7 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn arrivals(&self, v: &Value) -> Result<ArrivalSpec, LoadError> {
+    fn arrivals(&self, v: &Located) -> Result<ArrivalSpec, LoadError> {
         let p = "arrivals";
         let fields = self.obj(v, p)?;
         self.no_unknown(fields, &["count", "model", "burst", "concurrency", "rate"], p)?;
@@ -1179,7 +595,7 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn arrival_model(&self, v: &Value) -> Result<ArrivalModel, LoadError> {
+    fn arrival_model(&self, v: &Located) -> Result<ArrivalModel, LoadError> {
         if let Node::Str(s) = &v.node {
             return match s.as_str() {
                 "uniform" => Ok(ArrivalModel::Uniform),
@@ -1188,7 +604,7 @@ impl<'a> Dec<'a> {
                     "arrivals.model",
                     format!(
                         "unknown arrival model {other:?} \
-                         (\"uniform\", or a zipf/replay/replay_csv table)"
+                         (\"uniform\", or a zipf/replay/replay_csv object)"
                     ),
                 )),
             };
@@ -1273,10 +689,6 @@ pub fn read_replay_csv(path: &Path) -> Result<Vec<usize>, LoadError> {
 // ---------------------------------------------------------------------------
 // Public parse/load API
 
-fn decode(v: &Value, file: &Path, base_dir: Option<&Path>) -> Result<ScenarioSpec, LoadError> {
-    Dec { file, base_dir }.spec(v)
-}
-
 /// Parse a JSON scenario from a string; `file` labels errors, `base_dir`
 /// resolves `replay_csv` references (reject them when `None`).
 pub fn parse_scenario_json(
@@ -1284,55 +696,33 @@ pub fn parse_scenario_json(
     file: &Path,
     base_dir: Option<&Path>,
 ) -> Result<ScenarioSpec, LoadError> {
-    let v = JsonParser::parse(src).map_err(|(line, msg)| LoadError {
+    let v = parse_located(src).map_err(|(line, msg)| LoadError {
         path: file.to_path_buf(),
         line: Some(line),
         msg,
     })?;
-    decode(&v, file, base_dir)
+    Dec { file, base_dir }.spec(&v)
 }
 
-/// Parse a TOML scenario from a string; `file` labels errors, `base_dir`
-/// resolves `replay_csv` references (reject them when `None`).
-pub fn parse_scenario_toml(
-    src: &str,
-    file: &Path,
-    base_dir: Option<&Path>,
-) -> Result<ScenarioSpec, LoadError> {
-    let v = TomlParser::parse(src).map_err(|(line, msg)| LoadError {
-        path: file.to_path_buf(),
-        line: Some(line),
-        msg,
-    })?;
-    decode(&v, file, base_dir)
-}
-
-/// Parse a scenario as JSON or TOML by `path`'s extension, run
-/// [`ScenarioSpec::check`], and return the validated spec; `path` labels
-/// errors, `base_dir` resolves `replay_csv` references (reject them when
-/// `None`).
+/// Parse a `.json` scenario, run [`ScenarioSpec::check`], and return the
+/// validated spec; `path` labels errors, `base_dir` resolves `replay_csv`
+/// references (reject them when `None`).
 pub(crate) fn parse_scenario(
     src: &str,
     path: &Path,
     base_dir: Option<&Path>,
 ) -> Result<ScenarioSpec, LoadError> {
-    let spec = match path.extension().and_then(|e| e.to_str()) {
-        Some("json") => parse_scenario_json(src, path, base_dir)?,
-        Some("toml") => parse_scenario_toml(src, path, base_dir)?,
-        _ => {
-            return Err(LoadError {
-                path: path.to_path_buf(),
-                line: None,
-                msg: "unknown extension (expected .json or .toml)".into(),
-            })
-        }
-    };
-    spec.check().map_err(|msg| LoadError { path: path.to_path_buf(), line: None, msg })?;
+    let err = |msg: String| LoadError { path: path.to_path_buf(), line: None, msg };
+    if path.extension().and_then(|e| e.to_str()) != Some("json") {
+        return Err(err("unknown extension (expected .json)".into()));
+    }
+    let spec = parse_scenario_json(src, path, base_dir)?;
+    spec.check().map_err(err)?;
     Ok(spec)
 }
 
-/// Load one scenario file (`.json` or `.toml`), run
-/// [`ScenarioSpec::check`], and return the validated spec.
+/// Load one `.json` scenario file, run [`ScenarioSpec::check`], and
+/// return the validated spec.
 pub fn load_scenario(path: &Path) -> Result<ScenarioSpec, LoadError> {
     let text = std::fs::read_to_string(path).map_err(|e| LoadError {
         path: path.to_path_buf(),
@@ -1342,7 +732,7 @@ pub fn load_scenario(path: &Path) -> Result<ScenarioSpec, LoadError> {
     parse_scenario(&text, path, path.parent())
 }
 
-/// Load every `*.json` / `*.toml` directly inside `dir` (subdirectories
+/// Load every `*.json` directly inside `dir` (subdirectories
 /// such as `scenarios/broken/` are deliberately not descended into),
 /// sorted by file name for deterministic ordering.
 pub fn load_corpus(dir: &Path) -> Result<Vec<(PathBuf, ScenarioSpec)>, LoadError> {
@@ -1353,10 +743,7 @@ pub fn load_corpus(dir: &Path) -> Result<Vec<(PathBuf, ScenarioSpec)>, LoadError
     })?;
     let mut paths: Vec<PathBuf> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.is_file()
-                && matches!(p.extension().and_then(|e| e.to_str()), Some("json") | Some("toml"))
-        })
+        .filter(|p| p.is_file() && p.extension().and_then(|e| e.to_str()) == Some("json"))
         .collect();
     paths.sort();
     let mut corpus = Vec::with_capacity(paths.len());
@@ -1368,25 +755,25 @@ pub fn load_corpus(dir: &Path) -> Result<Vec<(PathBuf, ScenarioSpec)>, LoadError
 }
 
 // ---------------------------------------------------------------------------
-// Serializers (canonical form; exact round trip)
+// Serializer (canonical form; exact round trip)
 
-fn num(v: f64) -> Node {
-    Node::Num(v)
+fn num(v: f64) -> Json {
+    Json::Num(v)
 }
 
-fn s(v: &str) -> Node {
-    Node::Str(v.to_string())
+fn s(v: &str) -> Json {
+    Json::Str(v.to_string())
 }
 
-fn obj(fields: Vec<(&str, Node)>) -> Node {
-    Node::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), Value::new(v, 0))).collect())
+fn obj(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-fn arr(items: Vec<Node>) -> Node {
-    Node::Arr(items.into_iter().map(|n| Value::new(n, 0)).collect())
+fn arr(items: Vec<Json>) -> Json {
+    Json::Arr(items)
 }
 
-fn spec_to_node(spec: &ScenarioSpec) -> Node {
+fn spec_to_json(spec: &ScenarioSpec) -> Json {
     let workload = match &spec.workload {
         ScenarioWorkload::Sim(w) => {
             let mut sim = vec![
@@ -1491,20 +878,20 @@ fn spec_to_node(spec: &ScenarioSpec) -> Node {
                 (
                     "drift",
                     obj(vec![
-                        ("retain_priors", Node::Bool(drift.retain_priors)),
+                        ("retain_priors", Json::Bool(drift.retain_priors)),
                         ("prior_decay", num(drift.prior_decay)),
                         ("density_gate", num(drift.density_gate)),
                         ("cold_row_bonus", num(drift.cold_row_bonus)),
-                        ("warm_start", Node::Bool(drift.warm_start)),
+                        ("warm_start", Json::Bool(drift.warm_start)),
                     ]),
                 ),
-                ("incremental", Node::Bool(*incremental)),
+                ("incremental", Json::Bool(*incremental)),
                 ("rescore_every", num(*rescore_every as f64)),
             ];
             // Default omitted so pre-existing corpus files stay byte-stable
             // (same policy as `shards`).
             if *incremental_als {
-                policy_fields.push(("incremental_als", Node::Bool(true)));
+                policy_fields.push(("incremental_als", Json::Bool(true)));
             }
             obj(vec![("limeqo_als", obj(policy_fields))])
         }
@@ -1571,169 +958,11 @@ fn spec_to_node(spec: &ScenarioSpec) -> Node {
     obj(fields)
 }
 
-fn escape_string(out: &mut String, v: &str) {
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_json(out: &mut String, node: &Node, indent: usize) {
-    let pad = "  ".repeat(indent);
-    let pad_in = "  ".repeat(indent + 1);
-    match node {
-        Node::Null => out.push_str("null"),
-        Node::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        // `{}` on f64 is Rust's shortest-round-trip formatting: the printed
-        // decimal re-parses to the identical bits, which is what makes the
-        // spec -> file -> spec round trip exact.
-        Node::Num(v) => out.push_str(&format!("{v}")),
-        Node::Str(v) => escape_string(out, v),
-        Node::Arr(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            let scalar = items.iter().all(|i| matches!(i.node, Node::Num(_) | Node::Str(_)));
-            if scalar {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    write_json(out, &item.node, indent);
-                }
-                out.push(']');
-            } else {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad_in);
-                    write_json(out, &item.node, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&pad);
-                out.push(']');
-            }
-        }
-        Node::Obj(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            for (i, (k, v)) in fields.iter().enumerate() {
-                out.push_str(&pad_in);
-                escape_string(out, k);
-                out.push_str(": ");
-                write_json(out, &v.node, indent + 1);
-                if i + 1 < fields.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str(&pad);
-            out.push('}');
-        }
-    }
-}
-
 /// Serialize a spec to the canonical JSON form ([`parse_scenario_json`] of
 /// the result equals the input exactly).
 pub fn to_json_string(spec: &ScenarioSpec) -> String {
-    let mut out = String::new();
-    write_json(&mut out, &spec_to_node(spec), 0);
+    let mut out = spec_to_json(spec).render_pretty();
     out.push('\n');
-    out
-}
-
-fn toml_key(k: &str) -> String {
-    let bare =
-        !k.is_empty() && k.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-');
-    if bare {
-        k.to_string()
-    } else {
-        let mut out = String::new();
-        escape_string(&mut out, k);
-        out
-    }
-}
-
-fn toml_scalar(out: &mut String, node: &Node) {
-    match node {
-        Node::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Node::Num(v) => out.push_str(&format!("{v}")),
-        Node::Str(v) => escape_string(out, v),
-        Node::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                toml_scalar(out, &item.node);
-            }
-            out.push(']');
-        }
-        Node::Null | Node::Obj(_) => unreachable!("handled by write_toml_table"),
-    }
-}
-
-fn write_toml_table(out: &mut String, prefix: &str, fields: &[(String, Value)]) {
-    // Scalars and scalar arrays first, then sub-tables, then arrays of
-    // tables — the order TOML requires to keep keys inside their table.
-    for (k, v) in fields {
-        match &v.node {
-            Node::Obj(_) => {}
-            Node::Arr(items) if items.iter().any(|i| matches!(i.node, Node::Obj(_))) => {}
-            Node::Null => {}
-            _ => {
-                out.push_str(&toml_key(k));
-                out.push_str(" = ");
-                toml_scalar(out, &v.node);
-                out.push('\n');
-            }
-        }
-    }
-    for (k, v) in fields {
-        let sub = if prefix.is_empty() { toml_key(k) } else { format!("{prefix}.{}", toml_key(k)) };
-        match &v.node {
-            Node::Obj(sub_fields) => {
-                out.push('\n');
-                out.push_str(&format!("[{sub}]\n"));
-                write_toml_table(out, &sub, sub_fields);
-            }
-            Node::Arr(items) if items.iter().any(|i| matches!(i.node, Node::Obj(_))) => {
-                for item in items {
-                    let Node::Obj(sub_fields) = &item.node else {
-                        unreachable!("mixed scalar/table array is never serialized")
-                    };
-                    out.push('\n');
-                    out.push_str(&format!("[[{sub}]]\n"));
-                    write_toml_table(out, &sub, sub_fields);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Serialize a spec to the canonical TOML form ([`parse_scenario_toml`] of
-/// the result equals the input exactly).
-pub fn to_toml_string(spec: &ScenarioSpec) -> String {
-    let Node::Obj(fields) = spec_to_node(spec) else { unreachable!("spec is a table") };
-    let mut out = String::new();
-    write_toml_table(&mut out, "", &fields);
     out
 }
 
@@ -1758,16 +987,6 @@ mod tests {
     }
 
     #[test]
-    fn toml_round_trip_is_exact_for_every_registry_spec() {
-        for spec in full_registry() {
-            let text = to_toml_string(&spec);
-            let back = parse_scenario_toml(&text, label(), None)
-                .unwrap_or_else(|e| panic!("{}: {e}\n{text}", spec.name));
-            assert_eq!(back, spec, "TOML round trip diverged for {}", spec.name);
-        }
-    }
-
-    #[test]
     fn round_trip_preserves_new_arrival_knobs_and_replay() {
         let mut spec = crate::scenario::by_name("online-zipf").unwrap();
         spec.arrivals = Some(ArrivalSpec {
@@ -1779,8 +998,6 @@ mod tests {
         });
         let back = parse_scenario_json(&to_json_string(&spec), label(), None).unwrap();
         assert_eq!(back, spec);
-        let back = parse_scenario_toml(&to_toml_string(&spec), label(), None).unwrap();
-        assert_eq!(back, spec);
         spec.arrivals = Some(ArrivalSpec {
             count: 400,
             model: ArrivalModel::Zipf { exponent: 0.9 },
@@ -1788,7 +1005,7 @@ mod tests {
             concurrency: 3,
             rate: 0.0,
         });
-        let back = parse_scenario_toml(&to_toml_string(&spec), label(), None).unwrap();
+        let back = parse_scenario_json(&to_json_string(&spec), label(), None).unwrap();
         assert_eq!(back, spec);
     }
 
@@ -1800,8 +1017,6 @@ mod tests {
         let text = to_json_string(&spec);
         assert!(text.contains("shards"), "{text}");
         let back = parse_scenario_json(&text, label(), None).unwrap();
-        assert_eq!(back, spec);
-        let back = parse_scenario_toml(&to_toml_string(&spec), label(), None).unwrap();
         assert_eq!(back, spec);
     }
 
@@ -1818,8 +1033,6 @@ mod tests {
         assert!(text.contains("probe_fail_rate"), "{text}");
         assert!(text.contains("probe_fail_seed"), "{text}");
         let back = parse_scenario_json(&text, label(), None).unwrap();
-        assert_eq!(back, spec);
-        let back = parse_scenario_toml(&to_toml_string(&spec), label(), None).unwrap();
         assert_eq!(back, spec);
     }
 
@@ -1840,8 +1053,6 @@ mod tests {
         let text = to_json_string(&spec);
         assert!(text.contains("incremental_als"), "{text}");
         let back = parse_scenario_json(&text, label(), None).unwrap();
-        assert_eq!(back, spec);
-        let back = parse_scenario_toml(&to_toml_string(&spec), label(), None).unwrap();
         assert_eq!(back, spec);
     }
 
@@ -1881,42 +1092,6 @@ mod tests {
             spec.policy = limeqo_core::scenario::PolicySpec::Greedy;
             spec
         }
-    }
-
-    #[test]
-    fn toml_errors_carry_line() {
-        let err = parse_scenario_toml("name = \"x\"\nbatch = oops\n", label(), None).unwrap_err();
-        assert_eq!(err.line, Some(2), "{err}");
-        let err = parse_scenario_toml("name = \"x\"\nname = \"y\"\n", label(), None).unwrap_err();
-        assert_eq!(err.line, Some(2), "{err}");
-        assert!(err.msg.contains("duplicate"), "{err}");
-    }
-
-    #[test]
-    fn toml_accepts_human_conveniences() {
-        // Underscored numbers, comments, inline tables, dotted keys,
-        // multi-line arrays — none emitted by the serializer, all legal
-        // input.
-        let text = r#"
-# a hand-written scenario
-name = "hand"
-summary = "hand-written"
-batch = 4
-max_steps = 100_000
-budget_multiple = 1.5
-seeds = [
-  1,
-  2, # second seed
-]
-hint_shape = "full"
-policy = "random"
-workload.synthetic = { n = 30, k = 8, rank = 2, default_inflation = 2.0, noise_sigma = 0.1, seed = 7 }
-"#;
-        let spec = parse_scenario_toml(text, label(), None).unwrap();
-        assert_eq!(spec.max_steps, 100_000);
-        assert_eq!(spec.seeds, vec![1, 2]);
-        assert!(matches!(spec.workload, ScenarioWorkload::Synthetic(ref s) if s.n == 30));
-        spec.check().unwrap();
     }
 
     #[test]
@@ -1962,6 +1137,24 @@ workload.synthetic = { n = 30, k = 8, rank = 2, default_inflation = 2.0, noise_s
         let err = load_scenario(&path).unwrap_err();
         assert!(err.msg.contains("seed"), "{err}");
         assert_eq!(err.path, path);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A workload past `MAX_CELLS` is a load error naming the file, not an
+    /// allocation abort in the runner.
+    #[test]
+    fn load_scenario_rejects_an_oversized_workload() {
+        let dir = std::env::temp_dir().join(format!("limeqo-hugespec-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut spec = crate::scenario::by_name("censor-hostile").unwrap();
+        let ScenarioWorkload::Synthetic(w) = &mut spec.workload else { panic!("synthetic") };
+        w.n = 1_000_000_000_000;
+        let path = dir.join("huge.json");
+        std::fs::write(&path, to_json_string(&spec)).unwrap();
+        let err = load_scenario(&path).unwrap_err();
+        assert_eq!(err.path, path);
+        assert!(err.to_string().starts_with(&format!("{}: ", path.display())), "{err}");
+        assert!(err.msg.contains("cell limit"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

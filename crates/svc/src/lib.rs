@@ -74,27 +74,25 @@ use limeqo_linalg::Mat;
 /// daemon answers with an error instead of parsing it.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// `Some(error reply)` when `line` exceeds [`MAX_LINE_BYTES`].
-fn oversized_reply(line: &str) -> Option<String> {
-    (line.len() > MAX_LINE_BYTES).then(|| {
-        Json::Obj(vec![
-            ("ok".into(), Json::Bool(false)),
-            (
-                "error".into(),
-                Json::Str(format!(
-                    "request line of {} bytes exceeds the {MAX_LINE_BYTES}-byte limit",
-                    line.len()
-                )),
-            ),
-        ])
-        .render()
-    })
+/// An error when `line` exceeds [`MAX_LINE_BYTES`].
+fn check_line(line: &str) -> Result<(), String> {
+    if line.len() > MAX_LINE_BYTES {
+        return Err(format!(
+            "request line of {} bytes exceeds the {MAX_LINE_BYTES}-byte limit",
+            line.len()
+        ));
+    }
+    Ok(())
+}
+
+/// The `{"ok":false,"error":…}` reply line for `msg`.
+pub fn error_reply(msg: String) -> String {
+    Json::Obj(vec![("ok".into(), Json::Bool(false)), ("error".into(), Json::Str(msg))]).render()
 }
 
 /// Largest simulated workload the daemon accepts, in matrix cells
-/// (`n·k`): 2^25 cells is a 256 MiB dense `f64` oracle. One protocol
-/// line may not make the daemon allocate more than that.
-pub const MAX_CELLS: usize = 1 << 25;
+/// (`n·k`). One protocol line may not make the daemon allocate more.
+pub use limeqo_core::MAX_CELLS;
 
 /// The persisted service environment: shape and seeds of the simulated
 /// workload plus the exploration batch size. Everything the engine's
@@ -155,7 +153,7 @@ impl ServiceConfig {
     /// Check the bounds every configuration must meet before anything is
     /// allocated for it: positive sizes, `shards` in 1..=65536, at most
     /// [`MAX_CELLS`] cells, and `batch` no larger than the matrix. Both
-    /// [`Service::init_with`] and [`Service::open_with`] run it, so a
+    /// [`handle_init_with`] and [`Service::open_with`] run it, so a
     /// hand-edited `svc-config.json` meets the same rules as an `init`.
     pub(crate) fn check(&self) -> Result<(), String> {
         if self.n == 0 || self.k == 0 || self.batch == 0 || self.shards == 0 {
@@ -247,27 +245,16 @@ pub struct Service {
 }
 
 impl Service {
-    /// Initialize a fresh state directory from an `init` request.
-    pub fn init(
-        dir: &Path,
-        cfg: ServiceConfig,
-        crash_at: Option<u64>,
-    ) -> Result<Self, PersistError> {
-        Self::init_with(Box::new(FsStorage), dir, cfg, crash_at)
-    }
-
-    /// [`Service::init`] against an explicit [`Storage`] implementation
-    /// (the `--fault-at` dev flag injects a
-    /// [`limeqo_core::FaultStorage`] here). A create-time fault is a
-    /// clean typed error — degraded mode only exists for a service that
-    /// was already serving.
-    pub fn init_with(
+    /// Initialize a fresh state directory for a `cfg` that passed
+    /// [`ServiceConfig::check`]. A create-time fault is a clean typed
+    /// error — degraded mode only exists for a service that was already
+    /// serving.
+    fn init_with(
         storage: Box<dyn Storage>,
         dir: &Path,
         cfg: ServiceConfig,
         crash_at: Option<u64>,
     ) -> Result<Self, PersistError> {
-        cfg.check().map_err(|msg| PersistError::Corrupt(format!("init: {msg}")))?;
         let truth = synthetic_truth(&cfg)?;
         let engine = build_engine(&cfg, &truth);
         let de =
@@ -387,15 +374,9 @@ impl Service {
     /// Handle one protocol line. Malformed or oversized requests produce
     /// an error response, not a crash — a daemon must outlive its clients.
     pub fn handle(&mut self, line: &str) -> Reply {
-        if let Some(reply) = oversized_reply(line) {
-            return Reply::Line(reply);
-        }
-        match self.dispatch(line) {
+        match check_line(line).and_then(|()| self.dispatch(line)) {
             Ok(reply) => reply,
-            Err(msg) => Reply::Line(
-                Json::Obj(vec![("ok".into(), Json::Bool(false)), ("error".into(), Json::Str(msg))])
-                    .render(),
-            ),
+            Err(msg) => Reply::Line(error_reply(msg)),
         }
     }
 
@@ -509,19 +490,15 @@ pub fn handle_init(
     handle_init_with(Box::new(FsStorage), dir, line, crash_at)
 }
 
-/// [`handle_init`] against an explicit [`Storage`] implementation.
+/// [`handle_init`] against an explicit [`Storage`] implementation (the
+/// `--fault-at` dev flag injects a [`limeqo_core::FaultStorage`] here).
 pub fn handle_init_with(
     storage: Box<dyn Storage>,
     dir: &Path,
     line: &str,
     crash_at: Option<u64>,
 ) -> Result<(Service, String), String> {
-    if line.len() > MAX_LINE_BYTES {
-        return Err(format!(
-            "request line of {} bytes exceeds the {MAX_LINE_BYTES}-byte limit",
-            line.len()
-        ));
-    }
+    check_line(line)?;
     let req = Json::parse(line)?;
     match req.get("op") {
         Some(Json::Str(s)) if s == "init" => {}
@@ -542,6 +519,7 @@ pub fn handle_init_with(
         batch: field("batch", Some(8.0))? as usize,
         shards: field("shards", Some(1.0))? as usize,
     };
+    cfg.check().map_err(|msg| format!("init: {msg}"))?;
     let svc = Service::init_with(storage, dir, cfg, crash_at).map_err(|e| e.to_string())?;
     let reply =
         Json::Obj(vec![("ok".into(), Json::Bool(true)), ("op".into(), Json::Str("init".into()))])
@@ -626,7 +604,9 @@ mod tests {
             r#"{"op":"init","n":8,"k":4,"shards":65537}"#,
             r#"{"op":"init","n":8,"k":4,"batch":33}"#,
         ] {
-            assert!(handle_init(&dir, line, None).is_err(), "{line} must be rejected");
+            let err = handle_init(&dir, line, None).err().expect("an oversized init must fail");
+            // A refusal, not a persist failure: nothing was written.
+            assert!(err.starts_with("init: ") && !err.contains("corrupt"), "{line} -> {err}");
             assert!(!Service::exists(&dir), "{line} must not initialize the directory");
         }
         // The bounds are inclusive.

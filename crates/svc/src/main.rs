@@ -26,7 +26,7 @@ use std::io::{BufRead, Write};
 use std::path::PathBuf;
 
 use limeqo_core::{FaultAt, FaultKind, FaultScript, FaultStorage, FsStorage, OpClass, Storage};
-use limeqo_svc::{handle_init_with, Reply, Service};
+use limeqo_svc::{error_reply, handle_init_with, Reply, Service};
 
 struct Args {
     dir: PathBuf,
@@ -111,7 +111,7 @@ fn serve(
                     svc = Some(s);
                     Reply::Line(reply)
                 }
-                Err(msg) => Reply::Line(format!("{{\"ok\":false,\"error\":{:?}}}", msg)),
+                Err(msg) => Reply::Line(error_reply(msg)),
             },
         };
         {

@@ -17,6 +17,9 @@
 //!    the arrival knobs the registry does not exercise (bursts, bounded
 //!    concurrency, open-loop rates, CSV trace replay); they must parse,
 //!    validate, and name the knobs they claim to cover.
+//! 4. **One format** — the loader reads `.json` only and skips anything
+//!    else without a word, so every file under `scenarios/` must be a
+//!    `.json` spec, a `.csv` trace, or `README.md`.
 //!
 //! The deliberately-broken fixtures under `scenarios/broken/` are valid,
 //! loadable specs that *violate the fuzzer's calibrated invariants*; they
@@ -25,7 +28,7 @@
 use std::path::PathBuf;
 
 use limeqo_sim::scenario::{registry, scale_registry, ArrivalModel, ScenarioSpec};
-use limeqo_sim::{load_corpus, load_scenario, to_json_string, to_toml_string};
+use limeqo_sim::{load_corpus, load_scenario, to_json_string};
 
 /// Workspace-root path (the tests crate lives one level down).
 fn root(rel: &str) -> PathBuf {
@@ -85,16 +88,35 @@ fn corpus_files_are_in_canonical_form() {
     let scale = load_corpus(&root("scenarios/scale")).expect("scenarios/scale/ corpus loads");
     for (path, spec) in corpus().into_iter().chain(scale) {
         let bytes = std::fs::read_to_string(&path).expect("corpus file readable");
-        let canonical = match path.extension().and_then(|e| e.to_str()) {
-            Some("toml") => to_toml_string(&spec),
-            _ => to_json_string(&spec),
-        };
+        let canonical = to_json_string(&spec);
         assert!(
             bytes == canonical,
             "{} is not in canonical form; its canonical text is:\n{canonical}",
             path.display()
         );
     }
+}
+
+/// Every file under `scenarios/`, at any depth, is a `.json` spec, a
+/// `.csv` trace or `README.md`: a spec in another format would be skipped
+/// by the loader, and by the table ⇔ directory tests above with it.
+#[test]
+fn scenarios_holds_only_json_specs() {
+    let mut dirs = vec![root("scenarios")];
+    let mut stray = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("scenarios/ readable") {
+            let path = entry.expect("readable dir entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if !(matches!(path.extension().and_then(|e| e.to_str()), Some("json" | "csv"))
+                || path.file_name().is_some_and(|n| n == "README.md"))
+            {
+                stray.push(path);
+            }
+        }
+    }
+    assert!(stray.is_empty(), "only .json specs, .csv traces and README.md belong here: {stray:?}");
 }
 
 #[test]
@@ -105,8 +127,8 @@ fn extra_specs_cover_the_new_arrival_knobs() {
     assert_eq!((a.burst, a.concurrency), (4, 2), "burst spec must exercise batching + workers");
     assert!(a.rate > 0.0, "burst spec must be open-loop (rate > 0)");
 
-    let replay = load_scenario(&root("scenarios/extra/online-replay-trace.toml"))
-        .expect("replay spec loads (TOML + replay_csv relative to the spec file)");
+    let replay = load_scenario(&root("scenarios/extra/online-replay-trace.json"))
+        .expect("replay spec loads (replay_csv relative to the spec file)");
     let a = replay.arrivals.as_ref().expect("online spec has arrivals");
     let ArrivalModel::Replay { rows } = &a.model else {
         panic!("replay spec must resolve replay_csv into an inline trace")
@@ -120,7 +142,7 @@ fn extra_specs_cover_the_new_arrival_knobs() {
 #[test]
 #[ignore = "runs two online scenarios end to end"]
 fn extra_specs_hold_every_calibrated_invariant() {
-    for file in ["extra/online-burst-queue.json", "extra/online-replay-trace.toml"] {
+    for file in ["extra/online-burst-queue.json", "extra/online-replay-trace.json"] {
         let spec = load_scenario(&root("scenarios").join(file)).expect("extra spec loads");
         limeqo_bench::fuzz::check_spec(&spec)
             .unwrap_or_else(|e| panic!("scenarios/{file} violated an invariant: {e}"));

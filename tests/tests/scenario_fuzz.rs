@@ -21,7 +21,7 @@ fn broken_fixtures() -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
         .expect("scenarios/broken/ exists")
         .map(|e| e.expect("readable dir entry").path())
-        .filter(|p| matches!(p.extension().and_then(|e| e.to_str()), Some("json") | Some("toml")))
+        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("json"))
         .collect();
     files.sort();
     assert!(!files.is_empty(), "scenarios/broken/ must hold at least one pinned counterexample");
