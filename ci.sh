@@ -63,6 +63,22 @@ if [[ -z "$allowed" || "$hits" != "$allowed" ]]; then
   exit 1
 fi
 
+# No unsafe code: every library root forbids it, and no `unsafe` block,
+# fn, impl or trait appears anywhere under crates/ (a forbid in the root
+# already rejects one at compile time; the grep also names the binaries
+# and makes a dropped forbid visible here).
+echo "==> no-unsafe gate (#![forbid(unsafe_code)] in every library root)"
+for root in crates/*/src/lib.rs; do
+  if ! grep -qx '#!\[forbid(unsafe_code)\]' "$root"; then
+    echo "ci.sh: $root lacks #![forbid(unsafe_code)]" >&2
+    exit 1
+  fi
+done
+if grep -rnE '(^|[^[:alnum:]_"])unsafe +(\{|fn|impl|trait|extern)' crates --include='*.rs'; then
+  echo "ci.sh: unsafe code under crates/ (see above)" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -85,17 +101,18 @@ cargo test --offline -q
 echo "==> scenario golden suite"
 cargo test --offline -q -p limeqo-integration-tests --test scenarios
 
-# Kernel-equivalence differential suite: the tiled product and the fused
-# ALS half-steps bit-identical to the three-pass reference (QHᵀ, fill,
-# batched ridge solve) at every tile/thread combination and on the edge
-# cases uniform draws miss (exact zeros, censored bounds on both sides of
-# the prediction, fewer rows than threads, ranks around the fixed-width
-# r = 5 path, λ = 0 on rank-deficient factors), incremental factor updates
-# exact when all rows are dirty and deviation-bounded otherwise, and the
-# LimeQO-vs-Random invariant with incremental updates on. Re-run under its
-# own gate line (like the golden suite) so a kernel divergence is named in
-# CI output; the large-shape sweep rides the --ignored tier.
-echo "==> kernel-equivalence differential suite"
+# Kernel-equivalence suite: the one ALS kernel (the sparse-plus-low-rank
+# half-steps) bit-identical across thread counts and shard layouts and
+# within DENSE_REFERENCE_TOL (relative Frobenius) of the dense three-pass
+# reference (QHᵀ, fill, batched ridge solve), on ranks 1–8, censored bounds
+# at zero and on both sides of the prediction, default-only and fully
+# observed rows, and fewer rows than threads; incremental factor updates
+# exact when all rows are dirty and deviation-bounded otherwise; and the
+# LimeQO-vs-Random invariant with incremental updates on. Exact zeros in
+# the factors and λ = 0 on rank-deficient factors are pinned at the
+# half-step by als.rs's unit tests (tier-1). Re-run under its own gate line
+# (like the golden suite) so a kernel divergence is named in CI output.
+echo "==> kernel-equivalence suite"
 cargo test --offline -q -p limeqo-integration-tests --test kernels
 
 # The benchmark harness's own tests (perfbench/ is a standalone package, so
@@ -132,8 +149,8 @@ if [[ "$FAST" == "0" ]]; then
   # subsystem's metric keys must actually land in the emitted document
   # (a silently dropped emitter line would otherwise only fail in-process
   # tests, not the committed-trajectory workflow).
-  for key in isa policy.sample_s policy.topk_s \
-    als.blocked_s als.block_speedup als.incremental_s \
+  for key in policy.sample_s policy.topk_s \
+    als.dense_ref_s als.dense_ref_speedup als.incremental_s \
     shard.select_s shard.merge_s shard.als_s shard.mem_bytes \
     svc.journal_append_s svc.snapshot_s svc.recover_s \
     svc.retry_backoff_s fault.injected_total; do
@@ -165,20 +182,29 @@ if [[ "$FAST" == "0" ]]; then
       exit 1
     fi
   done
-  # A spec past the 2^25-cell bound is a load error naming the file (exit
-  # 2), not an allocation abort in a worker.
+  # A spec past a size bound (2^25 cells, 64 catalog tables, 2^20
+  # arrivals) is a load error naming the file (exit 2), not an allocation
+  # abort in a worker.
   HUGE_DIR="$(mktemp -d)"
-  sed 's/"n": 400,/"n": 1000000000000,/' scenarios/censor-hostile.json > "$HUGE_DIR/huge.json"
-  set +e
-  huge_err=$(target/release/scenario --dir "$HUGE_DIR" 2>&1 > /dev/null)
-  status=$?
-  set -e
+  sed 's/"n": 400,/"n": 1000000000000,/' scenarios/censor-hostile.json > "$HUGE_DIR/cells.json"
+  sed 's/"n_tables": 21,/"n_tables": 1000000000,/' scenarios/job-mini.json > "$HUGE_DIR/tables.json"
+  sed 's/"count": 2500,/"count": 1000000000000,/' scenarios/online-uniform.json \
+    > "$HUGE_DIR/arrivals.json"
+  for huge in cells tables arrivals; do
+    mkdir "$HUGE_DIR/$huge"
+    mv "$HUGE_DIR/$huge.json" "$HUGE_DIR/$huge/"
+    set +e
+    huge_err=$(target/release/scenario --dir "$HUGE_DIR/$huge" 2>&1 > /dev/null)
+    status=$?
+    set -e
+    if [[ "$status" -ne 2 || "$huge_err" != *"$huge.json"* ]]; then
+      echo "ci.sh: scenario --dir on an oversized $huge.json exited $status, expected 2 naming it:" >&2
+      echo "$huge_err" >&2
+      rm -rf "$HUGE_DIR"
+      exit 1
+    fi
+  done
   rm -rf "$HUGE_DIR"
-  if [[ "$status" -ne 2 || "$huge_err" != *huge.json* ]]; then
-    echo "ci.sh: scenario --dir on an oversized spec exited $status, expected 2 naming the file:" >&2
-    echo "$huge_err" >&2
-    exit 1
-  fi
   echo "==> scenario fuzz smoke (seed 1, 8 cases)"
   cargo run --offline --release -q -p limeqo-bench --bin scenario -- fuzz --seed 1 --count 8
 fi

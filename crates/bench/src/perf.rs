@@ -18,7 +18,7 @@
 //! never land silently.
 
 use crate::report::{write_json, Json};
-use limeqo_core::complete::{AlsCompleter, AlsKernel, Completer};
+use limeqo_core::complete::{dense_reference, AlsCompleter, Completer};
 use limeqo_core::explore::ExploreConfig;
 use limeqo_core::matrix::WorkloadMatrix;
 use limeqo_core::policy::{LimeQoPolicy, Policy, PolicyCtx, RandomPolicy};
@@ -38,15 +38,14 @@ pub const REQUIRED_KEYS: &[&str] = &[
     "schema",
     "smoke",
     "cores",
-    "isa",
     "threads",
     "matrix.n",
     "matrix.k",
     "als.serial_s",
     "als.parallel_s",
     "als.speedup",
-    "als.blocked_s",
-    "als.block_speedup",
+    "als.dense_ref_s",
+    "als.dense_ref_speedup",
     "als.incremental_s",
     "store.demote_s",
     "store.gate_scan_s",
@@ -149,12 +148,13 @@ pub fn run(opts: &PerfOpts) -> Json {
     let store = matured_store(n, k, 0xBE9C);
     let wm = store.matrix();
 
-    // ALS: the identical fit — naive serial, naive parallel, and the
-    // fused kernels single-threaded (bit-identical output by contract, so
-    // the whole delta against `als.serial_s` is the kernel: no n×k Ŵ per
-    // half-step, no allocation per solve, rank-sized register
-    // accumulators — a core-count-independent floor `perf --full` gates
-    // on).
+    // ALS: the identical fit — the shipped sparse-plus-low-rank half-steps
+    // serial and parallel, and the dense three-pass reference
+    // (`dense_reference`: QHᵀ, fill, batched ridge solve) serial. The
+    // shipped fit is bit-identical at any thread count, so
+    // `als.speedup` is pure parallelism; against the reference it agrees
+    // to rounding, so `als.dense_ref_speedup` is the kernel's own gain, a
+    // core-count-independent floor `perf --full` gates on.
     // Fresh completers per measurement so the RNG call counter cannot
     // skew a comparison. The three configurations are sampled
     // *interleaved*, one of each per round with per-configuration minima,
@@ -162,21 +162,25 @@ pub fn run(opts: &PerfOpts) -> Json {
     // back-to-back in sequence, slow machine-state drift (thermal,
     // noisy-neighbour) bills entirely to whichever configuration runs
     // last and turns a real speedup into a fake regression.
-    let run_als = |kernel: AlsKernel, threads: usize| {
+    let als_config = |threads: usize| {
         let mut als = AlsCompleter::paper_default(1);
         als.iters = iters;
         als.threads = threads;
-        als.kernel = kernel;
-        let t = Instant::now();
-        std::hint::black_box(als.complete(wm));
-        t.elapsed().as_secs_f64()
+        als
     };
-    let (mut als_serial, mut als_parallel, mut als_blocked) =
+    let (mut als_serial, mut als_parallel, mut als_dense) =
         (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..reps.max(1) {
-        als_serial = als_serial.min(run_als(AlsKernel::Naive, 1));
-        als_parallel = als_parallel.min(run_als(AlsKernel::Naive, opts.threads));
-        als_blocked = als_blocked.min(run_als(AlsKernel::Blocked { tile: 0 }, 1));
+        for (threads, best) in [(1, &mut als_serial), (opts.threads, &mut als_parallel)] {
+            let mut als = als_config(threads);
+            *best = best.min(time_min(1, || {
+                std::hint::black_box(als.complete(wm));
+            }));
+        }
+        let reference = als_config(1);
+        als_dense = als_dense.min(time_min(1, || {
+            std::hint::black_box(dense_reference(&reference, wm).expect("λ > 0 factors"));
+        }));
     }
 
     // Incremental factor update: a warm-fitted completer re-solving a 1 %
@@ -254,7 +258,7 @@ pub fn run(opts: &PerfOpts) -> Json {
     // The sharded multi-tenant layer, at the 8-shard layout the scale-1m
     // tier uses: one full policy `select` over a sharded store (per-shard
     // Eq. 6 top-m + deterministic cross-shard merge), the k-way merge in
-    // isolation, the per-shard blocked ALS fit, and the sparse matrix
+    // isolation, the per-shard ALS fit, and the sparse matrix
     // footprint the memory-budget table in PERF.md quotes.
     let shard_count = 8usize;
     let sharded_store = matured_store_sharded(n, k, 0xBE9C, shard_count);
@@ -470,7 +474,6 @@ pub fn run(opts: &PerfOpts) -> Json {
         ("schema".into(), Json::Str("limeqo-bench-policy-v1".into())),
         ("smoke".into(), Json::Bool(opts.smoke)),
         ("cores".into(), Json::Num(auto_threads() as f64)),
-        ("isa".into(), Json::Str(limeqo_linalg::block::isa().into())),
         ("threads".into(), Json::Num(limeqo_linalg::par::resolve_threads(opts.threads) as f64)),
         ("matrix.n".into(), Json::Num(n as f64)),
         ("matrix.k".into(), Json::Num(k as f64)),
@@ -478,8 +481,8 @@ pub fn run(opts: &PerfOpts) -> Json {
         ("als.serial_s".into(), Json::Num(als_serial)),
         ("als.parallel_s".into(), Json::Num(als_parallel)),
         ("als.speedup".into(), Json::Num(als_serial / als_parallel.max(1e-12))),
-        ("als.blocked_s".into(), Json::Num(als_blocked)),
-        ("als.block_speedup".into(), Json::Num(als_serial / als_blocked.max(1e-12))),
+        ("als.dense_ref_s".into(), Json::Num(als_dense)),
+        ("als.dense_ref_speedup".into(), Json::Num(als_dense / als_serial.max(1e-12))),
         ("als.incremental_s".into(), Json::Num(als_incremental)),
         ("store.demote_s".into(), Json::Num(demote)),
         ("store.gate_scan_s".into(), Json::Num(gate_scan)),
@@ -521,7 +524,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     for key in [
         "als.serial_s",
         "als.parallel_s",
-        "als.blocked_s",
+        "als.dense_ref_s",
         "als.incremental_s",
         "scenario.end_to_end_s",
         "shard.select_s",

@@ -24,126 +24,53 @@
 //! hint factor `H` is kept and the query factor `Q` re-initialized — the
 //! first half-iteration refits `Q` from `H` in closed form anyway.
 //!
+//! ## The sparse-plus-low-rank half-step
+//!
+//! The filled matrix differs from the low-rank prediction only on observed
+//! cells: `Ŵ = QHᵀ + S`, where `S` is zero except on an observed cell. On
+//! a complete cell `sᵢⱼ = w̃ᵢⱼ − qᵢ·hⱼ`; on a cell censored at `τᵢⱼ`,
+//! `sᵢⱼ = max(0, τᵢⱼ − qᵢ·hⱼ)`, which is the clamp. So `ŴH = Q(HᵀH) + SH`,
+//! and the `Q` update for row i is
+//! `qᵢ ← (HᵀH + λI)⁻¹ ((HᵀH)qᵢ + Σⱼ sᵢⱼhⱼ)`, summed over the row's observed
+//! cells. The `H` update is the same with the roles swapped, from
+//! `ŴᵀQ = H(QᵀQ) + SᵀQ`. This is the softImpute-ALS identity (Hastie,
+//! Mazumder, Lee & Zadeh, JMLR 2015). In exact arithmetic it is Algorithm
+//! 2's own iteration, but a half-step costs O(r²(n + k) + nnz·r) instead
+//! of O(n·k·r): neither `QHᵀ` nor `Ŵ` is formed before the final
+//! completion. Each half-step forms its Gram matrix and the ridge inverse
+//! ([`RidgeFactor::inverse`]) once, then applies the inverse to every
+//! factor row as an r×r matrix-vector product.
+//!
+//! [`dense_reference`] keeps the three-pass dense form (`QHᵀ`, fill,
+//! batched ridge solve) as the reference the tests and `perf` compare
+//! against; `AlsCompleter` cannot select it. The two agree to rounding, and
+//! the cross-check tests state the tolerance.
+//!
 //! ## The parallel engine
 //!
-//! Every expensive step of an ALS iteration is independent per factor row:
-//! the `Q` update solves one r-dimensional ridge system per *query*, the
-//! `H` update one per *hint*, and the low-rank product `QHᵀ` is one dot
-//! product per cell. [`AlsCompleter::threads`] fans those solves out over
-//! crossbeam scoped workers, each worker writing only its own
-//! pre-allocated factor rows. The result is **byte-identical to the serial
-//! path at any thread count** — the partition moves chunk boundaries, never
-//! the per-element arithmetic — which is what lets the golden scenario
-//! suite stay pinned while the hot path scales across cores (contract in
-//! PERF.md; pinned by `tests/tests/determinism.rs` at 1/2/8 threads).
-//!
-//! The default kernel ([`AlsKernel::Blocked`]) fuses each half-step into
-//! one pass per factor row (`limeqo_linalg::block::fused_q_step` /
-//! `fused_h_step`): the row of `QHᵀ` a solve needs is computed where it
-//! is consumed, its observed slots are filled, and its right-hand side is
-//! accumulated and solved in place, so the filled matrix `Ŵ` is never
-//! materialised. [`AlsKernel::Naive`] keeps the three-pass reference
-//! (`QHᵀ`, fill, batched solve) that the fused kernels are pinned to.
+//! Each half-step is independent per output row: the `Q` update solves one
+//! r-dimensional ridge system per *query*, the `H` update one per *hint*.
+//! [`AlsCompleter::threads`] splits the output rows across crossbeam scoped
+//! workers, each writing only its own pre-allocated rows: the `Q` rows
+//! shard by shard, the `H` rows in one batch. The Gram matrices `HᵀH` and
+//! `QᵀQ` are each one fixed-order reduction, formed before the split, and
+//! the `H` update reads each hint's cells from a column-major copy of the
+//! gathered cells, summed over rows in ascending order. So every output
+//! row's arithmetic is the same whatever the split, and the result is
+//! **byte-identical at any thread count and shard layout** (contract in
+//! PERF.md; pinned by `tests/tests/determinism.rs` at 1/2/8 threads and by
+//! `tests/tests/sharding.rs`).
 //!
 //! Matrix assembly does not materialize the dense `W̃`/`M`/`T` triple
 //! either: the observed and censored cells are gathered once per call from
 //! the matrix's compact observed-cell index
-//! ([`WorkloadMatrix::observed_cols`]) into per-row runs, so assembly is
-//! O(observed), and the fill starts from `QHᵀ` and overwrites just a row's
-//! observed slots — numerically identical to the old dense
-//! `M ⊙ W̃ + (1−M) ⊙ QHᵀ` + censored-clamp sequence.
+//! ([`WorkloadMatrix::observed_cols`]), so assembly is O(observed).
 
 use super::Completer;
 use crate::matrix::{Cell, WorkloadMatrix};
+use limeqo_linalg::par::{effective_threads, par_chunks};
 use limeqo_linalg::rng::SeededRng;
-use limeqo_linalg::{block, par, ridge_solve_cols, ridge_solve_rows_blocked, Mat};
-
-/// Which kernel implementation backs the ALS half-steps.
-///
-/// Every variant is **byte-identical** — the fused kernels preserve the
-/// reference kernels' per-element floating-point operation sequence exactly
-/// (see `limeqo_linalg::block` and the `tests/tests/kernels.rs`
-/// differential suite) — so this is a pure performance knob: switching it
-/// can never move a golden.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlsKernel {
-    /// The three-pass reference: `QHᵀ` (`limeqo_linalg::par::matmul_t`),
-    /// the fill, then `ridge_solve_rows_blocked` / `ridge_solve_cols`.
-    Naive,
-    /// The fused half-steps from `limeqo_linalg::block`, which never
-    /// materialise the filled matrix; the `H` step takes its hint columns
-    /// `tile` at a time, and the final completion is an L1-tiled `QHᵀ`.
-    /// `tile = 0` picks the auto size (the largest slice whose panel fits
-    /// the L1 budget).
-    Blocked {
-        /// Hint columns per slice; `0` = auto.
-        tile: usize,
-    },
-}
-
-impl Default for AlsKernel {
-    /// Blocked with the auto tile — safe as a default precisely because
-    /// the kernels are bit-identical.
-    fn default() -> Self {
-        AlsKernel::Blocked { tile: 0 }
-    }
-}
-
-impl AlsKernel {
-    fn matmul_t(&self, a: &Mat, b: &Mat, threads: usize) -> limeqo_linalg::Result<Mat> {
-        match *self {
-            AlsKernel::Naive => par::matmul_t(a, b, threads),
-            AlsKernel::Blocked { tile } => block::matmul_t_tiled(a, b, threads, tile),
-        }
-    }
-
-    /// `Q ← Ŵ H (HᵀH + λI)⁻¹` with `Ŵ = fill(QHᵀ)`: one ridge system per
-    /// row of `q`, batched per block.
-    fn q_step(
-        &self,
-        q: &Mat,
-        h: &Mat,
-        lambda: f64,
-        threads: usize,
-        blocks: &[(usize, usize)],
-        fill: impl Fn(usize, usize, &mut [f64]) + Sync,
-    ) -> limeqo_linalg::Result<Mat> {
-        match *self {
-            AlsKernel::Naive => {
-                let w_hat = filled(par::matmul_t(q, h, threads)?, fill);
-                ridge_solve_rows_blocked(h, &w_hat, lambda, threads, blocks)
-            }
-            AlsKernel::Blocked { .. } => block::fused_q_step(q, h, lambda, threads, blocks, fill),
-        }
-    }
-
-    /// `H ← Ŵᵀ Q (QᵀQ + λI)⁻¹` with `Ŵ = fill(QHᵀ)`: one ridge system per
-    /// hint column.
-    fn h_step(
-        &self,
-        q: &Mat,
-        h: &Mat,
-        lambda: f64,
-        threads: usize,
-        fill: impl Fn(usize, usize, &mut [f64]) + Sync,
-    ) -> limeqo_linalg::Result<Mat> {
-        match *self {
-            AlsKernel::Naive => {
-                let w_hat = filled(par::matmul_t(q, h, threads)?, fill);
-                ridge_solve_cols(q, &w_hat, lambda, threads)
-            }
-            AlsKernel::Blocked { tile } => block::fused_h_step(q, h, lambda, threads, tile, fill),
-        }
-    }
-}
-
-/// `qh` with `fill` applied to each of its rows.
-fn filled(mut qh: Mat, fill: impl Fn(usize, usize, &mut [f64])) -> Mat {
-    for row in 0..qh.rows() {
-        fill(row, 0, qh.row_mut(row));
-    }
-    qh
-}
+use limeqo_linalg::{par, ridge_solve_cols, ridge_solve_rows_blocked, Mat, RidgeFactor};
 
 /// Censored non-negative ALS matrix completion.
 #[derive(Debug, Clone)]
@@ -161,18 +88,15 @@ pub struct AlsCompleter {
     /// Seed the factors from the previous `complete()` call instead of a
     /// fresh random init (see the module docs).
     pub warm_start: bool,
-    /// Worker threads for the parallel factor solves and the `QHᵀ`
-    /// product: 0 asks the machine (`available_parallelism`, and stays
-    /// serial for kernels too small to amortize a thread spawn — see
+    /// Worker threads for the half-steps and the final `QHᵀ` product: 0
+    /// asks the machine (`available_parallelism`, and stays serial for
+    /// steps too small to amortize a thread spawn — see
     /// `limeqo_linalg::par::MIN_PAR_WORK`), 1 forces the serial path,
     /// explicit counts are honored literally. A pure performance knob —
     /// output is byte-identical at any value (see the module docs).
     pub threads: usize,
     /// Base seed for factor initialization.
     pub seed: u64,
-    /// Kernel implementation for the hot loops. Byte-identical across
-    /// variants (see [`AlsKernel`]), so purely a performance knob.
-    pub kernel: AlsKernel,
     /// Opt-in incremental mode: when [`AlsCompleter::complete_dirty`] is
     /// given a small dirty-row set and warm factors of the right shape,
     /// re-solve only the dirty `Q` rows against the retained `H` instead of
@@ -192,58 +116,85 @@ pub struct AlsCompleter {
     warm: Option<(Mat, Mat)>,
 }
 
-/// The observed cells of a workload matrix, gathered once per `complete()`
-/// call from the compact index: completed `(col, value)` and censored
-/// `(col, bound)` pairs, both in row-major order, with each row's run
-/// located by offset. Censored cells whose bound is not positive are left
-/// out: the clamp never raises a slot to them.
-struct GatheredCells {
-    completes: Vec<(u32, f64)>,
-    censored: Vec<(u32, f64)>,
-    /// Row `i`'s cells are `completes[starts[i].0..starts[i + 1].0]` and
-    /// `censored[starts[i].1..starts[i + 1].1]`.
-    starts: Vec<(usize, usize)>,
+/// One observed cell in a gathered run: the cell's column (in a row's run)
+/// or row (in a column's run), and its observed value or censored bound.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    at: u32,
+    censored: bool,
+    value: f64,
 }
 
-impl GatheredCells {
-    fn gather(wm: &WorkloadMatrix, want_censored: bool) -> Self {
-        let mut completes = Vec::new();
-        let mut censored = Vec::new();
-        let mut starts = Vec::with_capacity(wm.n_rows() + 1);
-        for row in 0..wm.n_rows() {
-            starts.push((completes.len(), censored.len()));
+impl Entry {
+    /// `sᵢⱼ`, what the fill adds to the prediction `pred` on this cell: the
+    /// observed value's distance from it, or how far a censored bound lies
+    /// above it.
+    fn residual(self, pred: f64) -> f64 {
+        // A select, not a branch: complete and censored cells interleave
+        // unpredictably.
+        let floor = if self.censored { 0.0 } else { f64::NEG_INFINITY };
+        (self.value - pred).max(floor)
+    }
+}
+
+/// Observed cells grouped into runs: run `i` is
+/// `entries[starts[i]..starts[i + 1]]`.
+struct Runs {
+    entries: Vec<Entry>,
+    starts: Vec<usize>,
+}
+
+impl Runs {
+    /// The observed cells of `rows` (one run each, in the order given),
+    /// gathered from the compact index, each run in column order. Censored
+    /// cells are kept only when `want_censored`, and only with a positive
+    /// bound: the clamp never raises a slot to a bound ≤ 0.
+    fn gather(
+        wm: &WorkloadMatrix,
+        rows: impl ExactSizeIterator<Item = usize>,
+        want_censored: bool,
+    ) -> Runs {
+        let mut entries = Vec::new();
+        let mut starts = Vec::with_capacity(rows.len() + 1);
+        for row in rows {
+            starts.push(entries.len());
             for &col in wm.observed_cols(row) {
-                match wm.cell(row, col as usize) {
-                    Cell::Complete(v) => completes.push((col, v)),
-                    Cell::Censored(b) if want_censored && b > 0.0 => censored.push((col, b)),
-                    Cell::Censored(_) | Cell::Unobserved => {}
-                }
+                let (censored, value) = match wm.cell(row, col as usize) {
+                    Cell::Complete(v) => (false, v),
+                    Cell::Censored(b) if want_censored && b > 0.0 => (true, b),
+                    Cell::Censored(_) | Cell::Unobserved => continue,
+                };
+                entries.push(Entry { at: col, censored, value });
             }
         }
-        starts.push((completes.len(), censored.len()));
-        GatheredCells { completes, censored, starts }
+        starts.push(entries.len());
+        Runs { entries, starts }
     }
 
-    /// `Ŵᵢⱼ ← W̃ᵢⱼ` on the complete cells and the censored clamp
-    /// `Ŵᵢⱼ ← max(Ŵᵢⱼ, Tᵢⱼ)` (Algorithm 2 lines 3–5) on the window of row
-    /// `row` of `QHᵀ` that starts at column `lo` (`w[j - lo]` is column
-    /// `j`). Complete and censored cells are disjoint, so filling row by
-    /// row is numerically identical to the dense `fill_estimate` this
-    /// replaces. A row's runs are column-sorted, so only the cells inside
-    /// the window are visited: an `H`-step worker touches its own columns,
-    /// not the whole row.
-    fn fill_row(&self, row: usize, lo: usize, w: &mut [f64]) {
-        let ((c0, s0), (c1, s1)) = (self.starts[row], self.starts[row + 1]);
-        let hi = lo + w.len();
-        for &(c, v) in window(&self.completes[c0..c1], lo, hi) {
-            w[c as usize - lo] = v;
+    fn run(&self, i: usize) -> &[Entry] {
+        &self.entries[self.starts[i]..self.starts[i + 1]]
+    }
+
+    /// The same cells with rows and columns swapped: one run per column
+    /// (`cols` of them), each in ascending row order.
+    fn transpose(&self, cols: usize) -> Runs {
+        let mut starts = vec![0; cols + 1];
+        for e in &self.entries {
+            starts[e.at as usize + 1] += 1;
         }
-        for &(c, bound) in window(&self.censored[s0..s1], lo, hi) {
-            let slot = &mut w[c as usize - lo];
-            // A select, not a branch (x86's `maxsd` is exactly this): a NaN
-            // prediction compares false and is kept.
-            *slot = if *slot < bound { bound } else { *slot };
+        for j in 0..cols {
+            starts[j + 1] += starts[j];
         }
+        let mut next = starts.clone();
+        let mut entries = self.entries.clone();
+        for i in 0..self.starts.len() - 1 {
+            for &e in self.run(i) {
+                let slot = &mut next[e.at as usize];
+                entries[*slot] = Entry { at: i as u32, ..e };
+                *slot += 1;
+            }
+        }
+        Runs { entries, starts }
     }
 
     /// Mean of the completed values — the scale the random factor init is
@@ -251,17 +202,156 @@ impl GatheredCells {
     /// dense `values().sum() / mask().sum()` bit for bit (the skipped
     /// zeros never changed a partial sum).
     fn mean_complete(&self) -> f64 {
-        let sum: f64 = self.completes.iter().map(|&(_, v)| v).sum();
-        let count = self.completes.len().max(1);
+        let completes = self.entries.iter().filter(|e| !e.censored);
+        let sum: f64 = completes.clone().map(|e| e.value).sum();
+        let count = completes.count().max(1);
         (sum / count as f64).max(1e-9)
+    }
+
+    /// `pred`, one row per run, filled (Algorithm 2 lines 3–5): a complete
+    /// cell takes its value and a censored cell raises a lower prediction
+    /// to its bound (a NaN prediction compares false and is kept).
+    fn fill(&self, mut pred: Mat) -> Mat {
+        for i in 0..self.starts.len() - 1 {
+            let row = pred.row_mut(i);
+            for e in self.run(i) {
+                let slot = &mut row[e.at as usize];
+                *slot = if !e.censored || *slot < e.value { e.value } else { *slot };
+            }
+        }
+        pred
     }
 }
 
-/// The cells of a column-sorted run that fall in columns `lo..hi`. A
-/// window from column 0 (every `Q`-step row) needs no search.
-fn window(run: &[(u32, f64)], lo: usize, hi: usize) -> impl Iterator<Item = &(u32, f64)> {
-    let from = if lo == 0 { 0 } else { run.partition_point(|&(c, _)| (c as usize) < lo) };
-    run[from..].iter().take_while(move |&&(c, _)| (c as usize) < hi)
+/// `a · b`, summed left to right from `+0.0`.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).fold(0.0, |acc, (&x, &y)| acc + x * y)
+}
+
+/// The paper's rank, r = 5, which every benchmark workload runs. The
+/// half-step's row loop is also compiled with it as a constant, so that
+/// every r-long loop unrolls: a 10k × 49 fit then took 0.75–0.85× the time
+/// of the loop with the rank known only at run time. Both run the same
+/// operations in the same order.
+const FIXED_RANK: usize = 5;
+
+/// One ALS half-step in sparse-plus-low-rank form (see the module docs).
+/// Row `i` of the result is `(GᵀG + λI)⁻¹ ((GᵀG)fᵢ + Σⱼ sᵢⱼgⱼ)`, where `fᵢ`
+/// is row `i` of `own` (the factor being updated), `gⱼ` is row `j` of
+/// `other` (the factor held fixed), the sum runs over run `i` of `cells`,
+/// and `sᵢⱼ` is that cell's residual against the prediction `fᵢ·gⱼ`.
+///
+/// `blocks` partition the output rows; each block's rows are split across
+/// `threads` workers. No row's arithmetic depends on the split. A singular
+/// normal matrix (possible only at λ = 0) is the factor's typed error.
+fn half_step(
+    own: &Mat,
+    other: &Mat,
+    cells: &Runs,
+    lambda: f64,
+    threads: usize,
+    blocks: &[(usize, usize)],
+) -> limeqo_linalg::Result<Mat> {
+    let r = own.cols();
+    let gram = other.t_matmul(other)?;
+    let inv = RidgeFactor::from_gram(&gram, lambda)?.inverse();
+    let step = Step { own, other, cells, gram: &gram, inv: &inv };
+    let mut out = Mat::zeros(own.rows(), r);
+    if r == 0 {
+        return Ok(out);
+    }
+    for &(start, end) in blocks {
+        // Two r×r products per row and two r-long passes per cell.
+        let work = 2 * r * ((end - start) * r + cells.starts[end] - cells.starts[start]);
+        let block = &mut out.as_mut_slice()[start * r..end * r];
+        par_chunks(block, r, effective_threads(threads, work), |c0, chunk| match r {
+            FIXED_RANK => step.rows::<FIXED_RANK>(start + c0, chunk),
+            _ => step.rows::<0>(start + c0, chunk),
+        });
+    }
+    Ok(out)
+}
+
+/// The operands of one [`half_step`]: the Gram matrix `GᵀG` of `other` and
+/// the inverse of `GᵀG + λI`.
+#[derive(Clone, Copy)]
+struct Step<'a> {
+    own: &'a Mat,
+    other: &'a Mat,
+    cells: &'a Runs,
+    gram: &'a Mat,
+    inv: &'a Mat,
+}
+
+impl Step<'_> {
+    /// Output rows `first..`, one r-long row per `chunk` row. `R` is the
+    /// rank when nonzero; `R = 0` reads it from `own` at run time.
+    fn rows<const R: usize>(self, first: usize, chunk: &mut [f64]) {
+        let r = if R == 0 { self.own.cols() } else { R };
+        // On the stack at a constant rank, so that it stays in registers.
+        let (mut fixed, mut sized) = ([0.0; R], Vec::new());
+        let rhs: &mut [f64] = if R == 0 {
+            sized.resize(r, 0.0);
+            &mut sized
+        } else {
+            &mut fixed
+        };
+        for (i, x) in chunk.chunks_exact_mut(r).enumerate() {
+            let row = first + i;
+            let f = &self.own.row(row)[..r];
+            for (v, gram_row) in rhs.iter_mut().zip(self.gram.as_slice().chunks_exact(r)) {
+                *v = dot(gram_row, f);
+            }
+            for e in self.cells.run(row) {
+                let g = &self.other.row(e.at as usize)[..r];
+                let s = e.residual(dot(f, g));
+                for (v, &gt) in rhs.iter_mut().zip(g) {
+                    *v += s * gt;
+                }
+            }
+            for (x, inv_row) in x.iter_mut().zip(self.inv.as_slice().chunks_exact(r)) {
+                *x = dot(inv_row, rhs);
+            }
+        }
+    }
+}
+
+/// The relative Frobenius distance, `‖a − b‖_F / ‖b‖_F`, within which the
+/// shipped fit stays of [`dense_reference`] on the same inputs. The
+/// cross-check tests assert it.
+pub const DENSE_REFERENCE_TOL: f64 = 1e-9;
+
+/// Algorithm 2 in its three-pass dense form, the reference the shipped
+/// half-step is checked against: each half-step forms `QHᵀ`
+/// ([`par::matmul_t`]), fills its observed cells, and solves the batched
+/// ridge problem on the filled matrix ([`ridge_solve_rows_blocked`] shard
+/// by shard, then [`ridge_solve_cols`]), at O(n·k·r) per half-step.
+///
+/// It runs the cold fit that `config`'s next call would make without warm
+/// factors: the same init, rank, λ, iterations, clamp, projection and
+/// threads (incremental updates do not apply). In exact arithmetic that is
+/// the iteration [`AlsCompleter::complete`] runs, so the two differ only by
+/// rounding. `AlsCompleter` never calls this; the cross-check tests and
+/// `perf`'s `als.dense_ref_s` do.
+pub fn dense_reference(config: &AlsCompleter, wm: &WorkloadMatrix) -> limeqo_linalg::Result<Mat> {
+    let (n, k) = (wm.n_rows(), wm.n_cols());
+    let cells = Runs::gather(wm, 0..n, config.censored);
+    let blocks = wm.shard_ranges();
+    let (mut q, mut h) = config.random_init(config.calls + 1, n, k, cells.mean_complete());
+    let (lambda, threads) = (config.lambda, config.threads);
+    for _ in 0..config.iters {
+        let w_hat = cells.fill(par::matmul_t(&q, &h, threads)?);
+        q = ridge_solve_rows_blocked(&h, &w_hat, lambda, threads, &blocks)?;
+        if config.nonneg {
+            q.clamp_min(0.0);
+        }
+        let w_hat = cells.fill(par::matmul_t(&q, &h, threads)?);
+        h = ridge_solve_cols(&q, &w_hat, lambda, threads)?;
+        if config.nonneg {
+            h.clamp_min(0.0);
+        }
+    }
+    Ok(cells.fill(par::matmul_t(&q, &h, threads)?))
 }
 
 impl AlsCompleter {
@@ -277,7 +367,6 @@ impl AlsCompleter {
             warm_start: false,
             threads: 0,
             seed,
-            kernel: AlsKernel::default(),
             incremental: false,
             incremental_threshold: 0.5,
             incremental_full_every: 8,
@@ -328,33 +417,23 @@ impl AlsCompleter {
     pub fn complete_with_factors(&mut self, wm: &WorkloadMatrix) -> (Mat, Mat, Mat) {
         let n = wm.n_rows();
         let k = wm.n_cols();
-        let cells = GatheredCells::gather(wm, self.censored);
-        // The Q update runs as one ridge batch per shard against the shared
-        // factored normal matrix HᵀH + λI: per-shard solves feeding one
-        // factor model. Each query row's solve is independent of how its
-        // neighbours are batched, so any shard layout (including the
-        // single-shard default) produces byte-identical factors.
+        let rows = Runs::gather(wm, 0..n, self.censored);
+        let cols = rows.transpose(k);
+        // The Q update runs shard by shard against the shared inverse of
+        // HᵀH + λI: per-shard solves feeding one factor model. Each query
+        // row's update is independent of how its neighbours are batched, so
+        // any shard layout (including the single-shard default) produces
+        // byte-identical factors.
         let shard_blocks = wm.shard_ranges();
 
-        // Fresh random init per call, deterministic across runs. The
-        // factors are scaled so the initial product QHᵀ matches the mean
-        // observed latency: entries of Q·Hᵀ with U(0, b)² factors average
-        // r·b²/4, so b = 2·√(mean/r) centres the initial fill on the data
-        // scale (raw latencies span milliseconds to minutes, and an O(1)
-        // init would make Algorithm 1's α-scaled timeouts so small that
-        // every probe censors).
         self.calls += 1;
-        let mut rng = SeededRng::new(self.seed.wrapping_add(self.calls.wrapping_mul(0xA5A5)));
         let r = self.rank.max(1);
-        let mean_obs = cells.mean_complete();
-        let bound = 2.0 * (mean_obs / r as f64).sqrt();
+        let (q_init, h_init) = self.random_init(self.calls, n, k, rows.mean_complete());
         // Warm path: reuse last round's factors when the shapes still
         // agree; if only the row count changed (queries arrived), keep H
         // and let the first half-iteration refit Q from it. The RNG is
         // advanced identically on every path so warm and cold runs stay
         // seed-deterministic cell for cell.
-        let q_init = rng.uniform_mat(n, r, 0.0, bound);
-        let h_init = rng.uniform_mat(k, r, 0.0, bound);
         let (mut q, mut h) = match self.warm.take() {
             Some((wq, wh)) if self.warm_start && wh.shape() == (k, r) => {
                 if wq.shape() == (n, r) {
@@ -366,31 +445,41 @@ impl AlsCompleter {
             _ => (q_init, h_init),
         };
 
-        let threads = self.threads;
-        let fill = |row: usize, lo: usize, w: &mut [f64]| cells.fill_row(row, lo, w);
+        let (lambda, threads) = (self.lambda, self.threads);
         for _ in 0..self.iters {
-            // Q ← Ŵ H (HᵀH + λI)⁻¹ with Ŵ ← M⊙W̃ + (1−M)⊙QHᵀ (+ censored
-            // clamp): one independent r-dimensional ridge system per query
-            // row, batched per shard, fanned out across the workers.
-            q = self
-                .kernel
-                .q_step(&q, &h, self.lambda, threads, &shard_blocks, fill)
-                .expect("Q update");
+            // Q ← Ŵ H (HᵀH + λI)⁻¹ with Ŵ = QHᵀ + S: one r-dimensional
+            // ridge system per query row, shard by shard.
+            q = half_step(&q, &h, &rows, lambda, threads, &shard_blocks).expect("Q update");
             if self.nonneg {
                 q.clamp_min(0.0);
             }
-            // H ← Ŵᵀ Q (QᵀQ + λI)⁻¹ on the refilled Ŵ: one system per hint
-            // column.
-            h = self.kernel.h_step(&q, &h, self.lambda, threads, fill).expect("H update");
+            // H ← Ŵᵀ Q (QᵀQ + λI)⁻¹ on the new Q: one system per hint.
+            h = half_step(&h, &q, &cols, lambda, threads, &[(0, k)]).expect("H update");
             if self.nonneg {
                 h.clamp_min(0.0);
             }
         }
-        let completed = filled(self.kernel.matmul_t(&q, &h, threads).expect("QHᵀ shape"), fill);
+        let completed = rows.fill(par::matmul_t(&q, &h, threads).expect("QHᵀ shape"));
         if self.warm_start {
             self.warm = Some((q.clone(), h.clone()));
         }
         (completed, q, h)
+    }
+
+    /// The random init of call number `call`, deterministic across runs.
+    /// The factors are scaled so the initial product QHᵀ matches `mean`,
+    /// the mean observed latency: entries of Q·Hᵀ with U(0, b)² factors
+    /// average r·b²/4, so b = 2·√(mean/r) centres the initial fill on the
+    /// data scale (raw latencies span milliseconds to minutes, and an O(1)
+    /// init would make Algorithm 1's α-scaled timeouts so small that every
+    /// probe censors).
+    fn random_init(&self, call: u64, n: usize, k: usize, mean: f64) -> (Mat, Mat) {
+        let mut rng = SeededRng::new(self.seed.wrapping_add(call.wrapping_mul(0xA5A5)));
+        let r = self.rank.max(1);
+        let bound = 2.0 * (mean / r as f64).sqrt();
+        let q = rng.uniform_mat(n, r, 0.0, bound);
+        let h = rng.uniform_mat(k, r, 0.0, bound);
+        (q, h)
     }
 
     /// [`AlsCompleter::complete_with_factors`], but with a dirty-row hint:
@@ -445,22 +534,20 @@ impl AlsCompleter {
             dirty.windows(2).all(|w| w[0] < w[1]) && dirty.iter().all(|&row| row < n),
             "dirty rows must be sorted, unique and in range"
         );
-        let cells = GatheredCells::gather(wm, self.censored);
         self.calls += 1;
         let (mut q, h) = self.warm.take().expect("warm_ok checked above");
         if !dirty.is_empty() {
-            // Q_d ← Ŵ_d H (HᵀH + λI)⁻¹: the closed-form Q update restricted
-            // to the dirty rows, against the retained H — the same Q step
-            // the full path runs, over the gathered dirty rows of Q.
+            // Q_d ← Ŵ_d H (HᵀH + λI)⁻¹: the Q half-step of the full path,
+            // restricted to the gathered dirty rows of Q, against the
+            // retained H.
             let mut q_d = Mat::zeros(dirty.len(), r);
             for (i, &row) in dirty.iter().enumerate() {
                 q_d.row_mut(i).copy_from_slice(q.row(row));
             }
-            let fill = |i: usize, lo: usize, w: &mut [f64]| cells.fill_row(dirty[i], lo, w);
-            let mut q_d = self
-                .kernel
-                .q_step(&q_d, &h, self.lambda, self.threads, &[(0, dirty.len())], fill)
-                .expect("incremental Q update");
+            let dirty_cells = Runs::gather(wm, dirty.iter().copied(), self.censored);
+            let mut q_d =
+                half_step(&q_d, &h, &dirty_cells, self.lambda, self.threads, &[(0, dirty.len())])
+                    .expect("incremental Q update");
             if self.nonneg {
                 q_d.clamp_min(0.0);
             }
@@ -468,9 +555,8 @@ impl AlsCompleter {
                 q.row_mut(row).copy_from_slice(q_d.row(i));
             }
         }
-        let fill = |row: usize, lo: usize, w: &mut [f64]| cells.fill_row(row, lo, w);
-        let completed =
-            filled(self.kernel.matmul_t(&q, &h, self.threads).expect("QHᵀ shape"), fill);
+        let rows = Runs::gather(wm, 0..n, self.censored);
+        let completed = rows.fill(par::matmul_t(&q, &h, self.threads).expect("QHᵀ shape"));
         self.warm = Some((q.clone(), h.clone()));
         (completed, q, h)
     }
@@ -623,40 +709,11 @@ mod tests {
         assert!(pred.as_slice().iter().all(|v| v.is_finite()));
     }
 
-    /// The pre-parallel dense path, kept verbatim as a reference: build
-    /// `W̃`/`M`/`T` densely, run the old `fill_estimate` + one-shot
-    /// `ridge_solve` loop. The shipping engine must reproduce it bit for
-    /// bit at every thread count.
-    fn dense_reference(wm: &WorkloadMatrix, rank: usize, iters: usize, seed: u64) -> Mat {
-        use crate::complete::fill_estimate;
-        use limeqo_linalg::ridge_solve;
-        let (n, k) = (wm.n_rows(), wm.n_cols());
-        let lambda = 0.2;
-        let values = wm.values();
-        let mask = wm.mask();
-        let timeouts_mat = wm.timeouts();
-        let timeouts = Some(&timeouts_mat);
-        let mut rng = SeededRng::new(seed.wrapping_add(0xA5A5));
-        let r = rank.max(1);
-        let observed = mask.sum().max(1.0);
-        let mean_obs = (values.sum() / observed).max(1e-9);
-        let bound = 2.0 * (mean_obs / r as f64).sqrt();
-        let mut q = rng.uniform_mat(n, r, 0.0, bound);
-        let mut h = rng.uniform_mat(k, r, 0.0, bound);
-        for _ in 0..iters {
-            let qh = q.matmul_t(&h).unwrap();
-            let w_hat = fill_estimate(&values, &mask, timeouts, &qh);
-            let qt = ridge_solve(&h, &w_hat.transpose(), lambda).unwrap();
-            q = qt.transpose();
-            q.clamp_min(0.0);
-            let qh = q.matmul_t(&h).unwrap();
-            let w_hat = fill_estimate(&values, &mask, timeouts, &qh);
-            let ht = ridge_solve(&q, &w_hat, lambda).unwrap();
-            h = ht.transpose();
-            h.clamp_min(0.0);
-        }
-        let qh = q.matmul_t(&h).unwrap();
-        fill_estimate(&values, &mask, timeouts, &qh)
+    /// ‖a − b‖_F / ‖b‖_F.
+    fn rel_frobenius(a: &Mat, b: &Mat) -> f64 {
+        let num: f64 = a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| (x - y) * (x - y)).sum();
+        let den: f64 = b.as_slice().iter().map(|y| y * y).sum();
+        (num / den.max(1e-300)).sqrt()
     }
 
     #[test]
@@ -667,16 +724,20 @@ mod tests {
         for (i, (r, c)) in planted.into_iter().enumerate() {
             wm.set_censored(r, c, 0.5 + i as f64);
         }
-        let reference = dense_reference(&wm, 3, 10, 32);
-        for threads in [1, 2, 8, 0] {
-            let mut als =
-                AlsCompleter { rank: 3, iters: 10, threads, ..AlsCompleter::paper_default(32) };
+        let config =
+            AlsCompleter { rank: 3, iters: 10, threads: 1, ..AlsCompleter::paper_default(32) };
+        let serial = config.clone().complete(&wm);
+        for threads in [2, 8, 0] {
+            let mut als = AlsCompleter { threads, ..config.clone() };
             assert_eq!(
                 als.complete(&wm).as_slice(),
-                reference.as_slice(),
-                "threads={threads} diverged from the dense serial reference"
+                serial.as_slice(),
+                "threads={threads} diverged from the serial fit"
             );
         }
+        let reference = dense_reference(&config, &wm).unwrap();
+        let rel = rel_frobenius(&serial, &reference);
+        assert!(rel <= DENSE_REFERENCE_TOL, "relative distance {rel} from the dense reference");
     }
 
     #[test]
@@ -716,11 +777,10 @@ mod tests {
     }
 
     #[test]
-    fn windowed_fill_equals_the_whole_row_fill_sliced() {
-        // Cells on both window edges (columns 0 and k − 1), next to each
-        // other, and censored bounds of 0.0 and −0.0 (ignored) beside
-        // positive ones; the row being filled holds NaN slots, which the
-        // clamp must keep.
+    fn gathered_runs_fill_and_transpose() {
+        // Cells on both edges (columns 0 and k − 1), next to each other, and
+        // censored bounds of 0.0 and −0.0 (dropped) beside positive ones;
+        // the matrix being filled holds NaN slots, which the clamp keeps.
         let k = 9;
         let mut wm = WorkloadMatrix::new_sharded(3, k, 1);
         wm.set_complete(0, 0, 1.5);
@@ -731,32 +791,188 @@ mod tests {
         wm.set_censored(1, 0, -0.0);
         wm.set_censored(1, 3, 9.0);
         wm.set_complete(1, 8, 0.25);
-        let cells = GatheredCells::gather(&wm, true);
+        let rows = Runs::gather(&wm, 0..3, true);
         let base = [f64::NAN, -1.0, 0.5, 1.0, 4.0, f64::NAN, -0.0, 6.0, f64::NAN];
-        let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for row in 0..3 {
-            let mut whole = base;
-            cells.fill_row(row, 0, &mut whole);
-            for lo in 0..=k {
-                for hi in lo..=k {
-                    let mut w = base[lo..hi].to_vec();
-                    cells.fill_row(row, lo, &mut w);
-                    assert_eq!(bits(&w), bits(&whole[lo..hi]), "row {row} window {lo}..{hi}");
+        let pred = Mat::from_rows(&[&base, &base, &base]);
+        let w = rows.fill(pred.clone());
+        // Complete cells written, positive bounds clamp (a NaN slot is
+        // kept), bounds ≤ 0 ignored, the empty row untouched.
+        assert_eq!((w[(0, 0)], w[(0, 1)], w[(0, 4)]), (1.5, -1.0, 2.5));
+        assert!(w[(0, 5)].is_nan() && w[(0, 8)].is_nan());
+        assert!(w[(1, 0)].is_nan());
+        assert_eq!((w[(1, 3)], w[(1, 8)]), (9.0, 0.25));
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&Mat::from_rows(&[w.row(2)])), bits(&Mat::from_rows(&[&base])));
+        // Without censoring, only the complete cells are gathered.
+        let plain = Runs::gather(&wm, 0..3, false);
+        assert!(plain.entries.iter().all(|e| !e.censored));
+        assert_eq!(plain.entries.len(), 3);
+        // The column-major copy holds the same cells, each column's run in
+        // ascending row order, and fills the transpose the same way.
+        let cols = rows.transpose(k);
+        assert_eq!(cols.starts.len(), k + 1);
+        assert_eq!(cols.entries.len(), rows.entries.len());
+        for j in 0..k {
+            let run: Vec<u32> = cols.run(j).iter().map(|e| e.at).collect();
+            assert!(run.windows(2).all(|p| p[0] < p[1]), "column {j} not row-ascending");
+        }
+        let wt = cols.fill(pred.transpose());
+        assert_eq!(bits(&wt.transpose()), bits(&w));
+        // A run per listed row, in the order given.
+        let picked = Runs::gather(&wm, [1, 0].into_iter(), true);
+        assert_eq!(picked.run(0).len(), rows.run(1).len());
+        assert_eq!(picked.run(1).len(), rows.run(0).len());
+    }
+
+    /// One half-step in the dense form: `own·otherᵀ`, filled, then the
+    /// batched ridge solve.
+    fn dense_half_step(
+        own: &Mat,
+        other: &Mat,
+        cells: &Runs,
+        lambda: f64,
+    ) -> limeqo_linalg::Result<Mat> {
+        let w_hat = cells.fill(own.matmul_t(other)?);
+        limeqo_linalg::ridge_solve_rows(other, &w_hat, lambda, 1)
+    }
+
+    /// A matrix observing a pattern the uniform draws elsewhere never reach:
+    /// rows that hold only the default (column 0), fully observed rows, and
+    /// mixed rows, with censored bounds of −0.0 and 0.0 (the matrix stores
+    /// no negative bound), below the prediction `pred` and above it.
+    fn edge_case_matrix(rng: &mut SeededRng, pred: &Mat) -> WorkloadMatrix {
+        let (n, k) = pred.shape();
+        let mut wm = WorkloadMatrix::new(n, k);
+        for i in 0..n {
+            for j in 0..k {
+                let observe = match i % 3 {
+                    0 => j == 0,
+                    1 => true,
+                    _ => rng.chance(0.5),
+                };
+                if !observe {
+                    continue;
+                }
+                let p = pred[(i, j)];
+                match rng.index(5) {
+                    0 => wm.set_censored(i, j, -0.0),
+                    1 => wm.set_censored(i, j, 0.0),
+                    2 => wm.set_censored(i, j, p * 0.5),
+                    3 => wm.set_censored(i, j, p.abs() * 2.0 + 1.0),
+                    _ => wm.set_complete(i, j, rng.uniform(0.0, 3.0)),
                 }
             }
         }
-        // The fill itself: complete cells written, positive bounds clamp
-        // (a NaN slot is kept), bounds ≤ 0 ignored.
-        let mut w = base;
-        cells.fill_row(0, 0, &mut w);
-        assert_eq!(w[0], 1.5);
-        assert_eq!(w[1], -1.0);
-        assert_eq!(w[4], 2.5);
-        assert!(w[5].is_nan() && w[8].is_nan());
-        let mut w = base;
-        cells.fill_row(1, 0, &mut w);
-        assert!(w[0].is_nan());
-        assert_eq!((w[3], w[8]), (9.0, 0.25));
+        wm
+    }
+
+    /// Set roughly `frac` of `m`'s entries to exact zeros of either sign —
+    /// the pattern the non-negativity clamp leaves in the factors.
+    fn plant_zeros(rng: &mut SeededRng, m: &mut Mat, frac: f64) {
+        for v in m.as_mut_slice() {
+            if rng.chance(frac) {
+                *v = if rng.chance(0.5) { 0.0 } else { -0.0 };
+            }
+        }
+    }
+
+    #[test]
+    fn half_step_matches_the_dense_half_step_on_edge_cases() {
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for seed in 0..120u64 {
+            let mut rng = SeededRng::new(seed ^ 0xED6E);
+            let (n, k, r) = (1 + rng.index(12), 1 + rng.index(12), 1 + rng.index(8));
+            let mut q = rng.uniform_mat(n, r, 0.0, 2.0);
+            let mut h = rng.uniform_mat(k, r, 0.0, 2.0);
+            plant_zeros(&mut rng, &mut q, 0.3);
+            plant_zeros(&mut rng, &mut h, 0.3);
+            let wm = edge_case_matrix(&mut rng, &q.matmul_t(&h).unwrap());
+            let lambda = rng.uniform(0.05, 1.0);
+            let rows = Runs::gather(&wm, 0..n, true);
+            let cols = rows.transpose(k);
+            let split = n / 2;
+            let steps = [
+                (&q, &h, &rows, vec![(0, split), (split, split), (split, n)]),
+                (&h, &q, &cols, vec![(0, k)]),
+            ];
+            for (own, other, cells, blocks) in steps {
+                let serial = half_step(own, other, cells, lambda, 1, &[(0, own.rows())]).unwrap();
+                let dense = dense_half_step(own, other, cells, lambda).unwrap();
+                let rel = rel_frobenius(&serial, &dense);
+                assert!(rel <= DENSE_REFERENCE_TOL, "seed {seed} r {r}: relative distance {rel}");
+                // Fewer rows than threads, and any block partition: the
+                // same bits.
+                for threads in [1, 2, 8, 0] {
+                    let got = half_step(own, other, cells, lambda, threads, &blocks).unwrap();
+                    assert_eq!(bits(&got), bits(&serial), "seed {seed} threads {threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_rank_rows_match_the_runtime_rank_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in 0..40u64 {
+            let mut rng = SeededRng::new(seed ^ 0xF1_0ED5);
+            let (n, k) = (1 + rng.index(20), 1 + rng.index(12));
+            let mut q = rng.uniform_mat(n, FIXED_RANK, 0.0, 2.0);
+            let mut h = rng.uniform_mat(k, FIXED_RANK, 0.0, 2.0);
+            plant_zeros(&mut rng, &mut q, 0.3);
+            plant_zeros(&mut rng, &mut h, 0.3);
+            let wm = edge_case_matrix(&mut rng, &q.matmul_t(&h).unwrap());
+            let rows = Runs::gather(&wm, 0..n, true);
+            let cols = rows.transpose(k);
+            for (own, other, cells) in [(&q, &h, &rows), (&h, &q, &cols)] {
+                let gram = other.t_matmul(other).unwrap();
+                let inv = RidgeFactor::from_gram(&gram, 0.2).unwrap().inverse();
+                let step = Step { own, other, cells, gram: &gram, inv: &inv };
+                let mut fixed = vec![0.0; own.len()];
+                let mut runtime = vec![0.0; own.len()];
+                step.rows::<FIXED_RANK>(0, &mut fixed);
+                step.rows::<0>(0, &mut runtime);
+                assert_eq!(bits(&fixed), bits(&runtime), "seed {seed}");
+            }
+        }
+    }
+
+    /// λ = 0 on a rank-deficient factor: rounding decides whether the normal
+    /// matrix still factors by Cholesky, fails over to LU, or is singular.
+    /// The half-step must follow the dense form down the same branch every
+    /// time — a result on both sides, or the same typed error — and the
+    /// sweep must actually reach the LU fallback.
+    #[test]
+    fn lambda_zero_on_a_rank_deficient_factor_takes_the_same_branch() {
+        let outcome =
+            |r: limeqo_linalg::Result<Mat>| r.map(|m| m.shape()).map_err(|e| format!("{e:?}"));
+        let mut lu_fallbacks = 0;
+        for seed in 0..200u64 {
+            let mut rng = SeededRng::new(seed);
+            let r = 2 + rng.index(6);
+            let mut q = rng.uniform_mat(9, r, 0.0, 2.0);
+            let mut h = rng.uniform_mat(7, r, 0.0, 2.0);
+            for m in [&mut q, &mut h] {
+                for i in 0..m.rows() {
+                    m[(i, r - 1)] = m[(i, 0)];
+                }
+            }
+            let gram = h.t_matmul(&h).unwrap();
+            if limeqo_linalg::cholesky(&gram).is_err() && limeqo_linalg::lu(&gram).is_ok() {
+                lu_fallbacks += 1;
+            }
+            let wm = edge_case_matrix(&mut rng, &q.matmul_t(&h).unwrap());
+            let rows = Runs::gather(&wm, 0..9, true);
+            let cols = rows.transpose(7);
+            for (own, other, cells) in [(&q, &h, &rows), (&h, &q, &cols)] {
+                let want = outcome(dense_half_step(own, other, cells, 0.0));
+                for threads in [1, 2, 8] {
+                    let blocks = [(0, own.rows())];
+                    let got = outcome(half_step(own, other, cells, 0.0, threads, &blocks));
+                    assert_eq!(got, want, "seed {seed} threads {threads}");
+                }
+            }
+        }
+        assert!(lu_fallbacks > 0, "no seed reached the LU fallback");
     }
 
     #[test]
@@ -765,36 +981,6 @@ mod tests {
         let mut a = AlsCompleter { rank: 0, ..AlsCompleter::paper_default(14) };
         let pred = a.complete(&wm);
         assert_eq!(pred.shape(), (5, 4));
-    }
-
-    #[test]
-    fn blocked_kernel_matches_naive_bit_for_bit() {
-        let (_, mut wm) = synthetic_low_rank(40, 12, 3, 0.3, 51);
-        let planted: Vec<(usize, usize)> = wm.unobserved_cells().take(4).collect();
-        for (i, (r, c)) in planted.into_iter().enumerate() {
-            wm.set_censored(r, c, 0.5 + i as f64);
-        }
-        let reference = {
-            let mut als = AlsCompleter { rank: 3, iters: 10, ..AlsCompleter::paper_default(52) };
-            als.kernel = AlsKernel::Naive;
-            als.complete(&wm)
-        };
-        for tile in [1usize, 7, 64, 0] {
-            for threads in [1usize, 2, 8] {
-                let mut als = AlsCompleter {
-                    rank: 3,
-                    iters: 10,
-                    threads,
-                    kernel: AlsKernel::Blocked { tile },
-                    ..AlsCompleter::paper_default(52)
-                };
-                assert_eq!(
-                    als.complete(&wm).as_slice(),
-                    reference.as_slice(),
-                    "tile={tile} threads={threads} diverged from the naive kernel"
-                );
-            }
-        }
     }
 
     /// Shared setup for the incremental tests: a warm-started incremental

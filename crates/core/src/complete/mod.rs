@@ -10,7 +10,7 @@ pub mod als;
 pub mod nuc;
 pub mod svt;
 
-pub use als::{AlsCompleter, AlsKernel};
+pub use als::{dense_reference, AlsCompleter, DENSE_REFERENCE_TOL};
 pub use nuc::NucCompleter;
 pub use svt::SvtCompleter;
 

@@ -417,6 +417,30 @@ mod tests {
     }
 
     #[test]
+    fn cached_ranking_is_the_paper_ranking_in_a_fault_free_run() {
+        // Every synchronous round lands at least one observation, which
+        // bumps the completion epoch and empties the score cache, so the
+        // cached ranking (with a periodic full re-score on top) never
+        // reuses a score and traces exactly as the paper-exact one does.
+        let oracle = toy_oracle(24, 8, 44);
+        let trace = |cached: bool| {
+            let mut policy = LimeQoPolicy::with_als(5);
+            policy.rescore_changed_only = cached;
+            policy.rescore_every = if cached { 2 } else { 0 };
+            let cfg = ExploreConfig { batch: 2, seed: 6, ..Default::default() };
+            let mut ex = Explorer::new(&oracle, Box::new(policy), cfg, 24);
+            ex.run_until(oracle.default_total());
+            ex.trace()
+                .iter()
+                .map(|t| (t.row, t.col, t.charged.to_bits(), t.censored))
+                .collect::<Vec<_>>()
+        };
+        let paper = trace(false);
+        assert!(paper.len() > 20, "the run must span many rounds, got {}", paper.len());
+        assert_eq!(trace(true), paper);
+    }
+
+    #[test]
     fn latency_never_regresses_without_shift() {
         // The no-regressions guarantee: P is monotone non-increasing.
         let oracle = toy_oracle(15, 8, 41);

@@ -28,17 +28,18 @@
 //!
 //! At production scale the per-step score scan is itself a hot path. The
 //! observation-side quantities (row best, observed counts, censored
-//! sweeps) now come from the matrix's O(1) caches and compact
-//! observed-cell index, and
-//! [`LimeQoPolicy::rescore_changed_only`] optionally makes the ranking
-//! *incremental*: a row is re-scored against the fresh completion only
-//! when its observation set changed since the previous round (tracked by
-//! [`crate::store::ObservationStore::row_rev`]); untouched rows keep their
-//! cached score and predicted argmin. That is a deliberate, opt-in
-//! approximation — predictions for untouched rows do drift a little each
-//! refit — used by the 100k-query scale scenario where re-scoring 99% of
-//! rows every round buys nothing; the paper-exact default re-scores
-//! everything.
+//! sweeps) come from the matrix's O(1) caches and compact observed-cell
+//! index. [`LimeQoPolicy::rescore_changed_only`] adds a per-row score
+//! cache, keyed on the row's revision
+//! ([`crate::store::ObservationStore::row_rev`]) and on the store's
+//! completion epoch ([`crate::store::ObservationStore::completion_epoch`]).
+//! Every landed observation, complete or censored, bumps that epoch,
+//! because it moves the shared factor model and with it every row's
+//! prediction. So every round that lands an observation re-scores every
+//! row against the fresh completion, as the paper-exact default does, and
+//! a cached score is reused only after a round in which nothing landed (in
+//! a synchronous run, a round whose every probe failed). A fault-free run
+//! therefore ranks bit for bit as the default does.
 
 use super::{sample_unobserved, CellChoice, Policy, PolicyCtx};
 use crate::complete::Completer;
@@ -83,19 +84,21 @@ pub struct LimeQoPolicy {
     /// Cold-row exploration bonus weight: `cold_row_bonus / √(observed
     /// cells in row)` is added to the row's Eq. 6 score. 0 disables it.
     pub cold_row_bonus: f64,
-    /// Incremental re-ranking (see the module docs): re-score only rows
-    /// whose observation set changed since the previous call, keeping the
-    /// cached score/argmin for untouched rows. Requires drift bookkeeping
-    /// in [`PolicyCtx::store`] (full re-scoring otherwise). Off by
-    /// default — the paper-exact behavior.
+    /// Cached re-ranking (see the module docs): reuse a row's cached
+    /// score/argmin while neither its observation set nor the store's
+    /// completion epoch changed. Every landed observation bumps the
+    /// epoch, so a score is reused only after a round in which nothing
+    /// landed, and a fault-free run ranks exactly as with this off.
+    /// Requires drift bookkeeping in [`PolicyCtx::store`] (full re-scoring
+    /// otherwise). Off by default — the paper-exact behavior.
     pub rescore_changed_only: bool,
-    /// Periodic full re-score for the incremental path: every
+    /// Periodic full re-score for the cached path: every
     /// `rescore_every`-th call (counting from the first) ignores the
     /// per-row cache and re-scores everything against the fresh
-    /// completion, bounding how stale an untouched row's cached
-    /// score/argmin can get. 0 (the default) never forces a full
-    /// re-score; irrelevant unless [`LimeQoPolicy::rescore_changed_only`]
-    /// is on.
+    /// completion. The cache already empties on every landed observation,
+    /// so this only matters across rounds in which nothing landed. 0 (the
+    /// default) never forces a full re-score; irrelevant unless
+    /// [`LimeQoPolicy::rescore_changed_only`] is on.
     pub rescore_every: usize,
     /// Incremental *model fitting* (distinct from the incremental
     /// re-ranking above, which caches scores): hand the completer the set

@@ -187,12 +187,14 @@ pub struct ObservationStore {
     /// last changed. Incremental consumers (the Eq. 6 re-ranking) compare
     /// it with their cached value to skip untouched rows.
     row_rev: Vec<u64>,
-    /// Global completion epoch: bumps whenever a *completed* value lands
-    /// or the matrix is rebuilt (demotion/discard) — i.e. whenever the ALS
-    /// input set changes in a way that moves *every* row's Eq. 6 score,
-    /// not just the probed row's. The incremental re-ranking invalidates
-    /// its whole cache on this counter (a censored-only round leaves it
-    /// unchanged, so those rounds still reuse cached scores).
+    /// Global completion epoch: bumps whenever an observation lands,
+    /// complete or censored, or the matrix is rebuilt (demotion/discard) —
+    /// i.e. whenever the ALS input set changes, which moves *every* row's
+    /// Eq. 6 score, not just the probed row's. Row appends leave it
+    /// unchanged. The incremental re-ranking invalidates its whole cache on
+    /// this counter, so it reuses a score only across a round in which
+    /// nothing landed: in a synchronous run, a round whose every probe
+    /// failed.
     completion_epoch: u64,
 }
 

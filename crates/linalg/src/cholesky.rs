@@ -84,55 +84,6 @@ impl CholeskyFactor {
         Ok(())
     }
 
-    /// [`CholeskyFactor::solve_in_place`] on `L` right-hand sides at once:
-    /// `x[i][l]` is entry `i` of right-hand side `l`. Each step of the
-    /// sequence is applied to every lane before the next step, so each lane
-    /// runs `solve_in_place`'s operations in its order and agrees with it
-    /// bit for bit; only independent lanes share an instruction.
-    #[inline(always)]
-    pub(crate) fn solve_lanes<const L: usize>(&self, x: &mut [[f64; L]]) -> Result<()> {
-        let n = self.l.rows();
-        if x.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "cholesky solve",
-                lhs: (n, n),
-                rhs: (x.len(), L),
-            });
-        }
-        // Forward substitution: L y = b. Each x[i] is updated in a local
-        // copy, which the compiler can keep in registers.
-        for i in 0..n {
-            let mut xi = x[i];
-            for (k, xk) in x[..i].iter().enumerate() {
-                let l = self.l[(i, k)];
-                for (a, &b) in xi.iter_mut().zip(xk) {
-                    *a -= l * b;
-                }
-            }
-            let d = self.l[(i, i)];
-            for a in &mut xi {
-                *a /= d;
-            }
-            x[i] = xi;
-        }
-        // Back substitution: Lᵀ x = y.
-        for i in (0..n).rev() {
-            let mut xi = x[i];
-            for (k, xk) in x.iter().enumerate().skip(i + 1) {
-                let l = self.l[(k, i)];
-                for (a, &b) in xi.iter_mut().zip(xk) {
-                    *a -= l * b;
-                }
-            }
-            let d = self.l[(i, i)];
-            for a in &mut xi {
-                *a /= d;
-            }
-            x[i] = xi;
-        }
-        Ok(())
-    }
-
     /// Solve `A X = B` column-by-column for a matrix right-hand side.
     pub fn solve(&self, b: &Mat) -> Result<Mat> {
         let n = self.l.rows();

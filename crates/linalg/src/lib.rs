@@ -20,11 +20,11 @@
 //!   every experiment in the reproduction is deterministic,
 //! * [`par`] — deterministic fork-join helpers (contiguous output chunks,
 //!   one scoped worker per chunk, no cross-chunk reductions) behind the
-//!   batched ridge solvers [`ridge_solve_rows`] / [`ridge_solve_cols`],
-//! * [`block`] — the fused ALS half-steps and a cache-blocked `QHᵀ`,
-//!   byte-identical to the naive paths at any tile size and thread count,
-//!   whose per-chunk bodies are also compiled for AVX2 and picked per call
-//!   from the CPU ([`block::isa`]),
+//!   batched ridge solvers [`ridge_solve_rows`] / [`ridge_solve_cols`] and
+//!   the ALS fit in `limeqo_core`,
+//! * [`RidgeFactor`] — the factored ridge normal matrix `GᵀG + λI`, whose
+//!   [`inverse`](RidgeFactor::inverse) the ALS half-step applies to every
+//!   factor row as an r×r matrix-vector product,
 //! * [`mod@fenwick`] — a Fenwick (binary indexed) tree over integer counts,
 //!   the rank-selection substrate of the sublinear candidate-selection
 //!   subsystem in `limeqo_core`.
@@ -35,12 +35,8 @@
 //! allocate outside of construction paths that return new matrices.
 
 #![warn(missing_docs)]
-// The only `unsafe` in the workspace's crates is the AVX2 call site in
-// `block`; the other crates forbid `unsafe` outright.
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
-pub mod block;
 pub mod cholesky;
 pub mod eigen;
 pub mod error;
@@ -53,7 +49,6 @@ pub mod par;
 pub mod rng;
 pub mod svd;
 
-pub use block::{fused_h_step, fused_q_step, matmul_t_tiled};
 pub use cholesky::{cholesky, cholesky_solve, CholeskyFactor};
 pub use eigen::{eigen_sym, EigenSym};
 pub use error::{LinalgError, Result};

@@ -107,54 +107,6 @@ impl LuFactor {
         Ok(())
     }
 
-    /// [`LuFactor::solve_in_place`] on `L` right-hand sides at once:
-    /// `x[i][l]` is entry `i` of right-hand side `l`, and every lane runs
-    /// `solve_in_place`'s sequence (the same interchanges, then the same
-    /// substitutions in the same order), so each agrees with it bit for bit.
-    #[inline(always)]
-    pub(crate) fn solve_lanes<const L: usize>(&self, x: &mut [[f64; L]]) -> Result<()> {
-        let n = self.lu.rows();
-        if x.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "lu solve",
-                lhs: (n, n),
-                rhs: (x.len(), L),
-            });
-        }
-        // Apply the permutation, then forward substitution with unit-lower L.
-        for (i, &p) in self.piv.iter().enumerate() {
-            x.swap(i, p);
-        }
-        // Each x[i] is updated in a local copy, which the compiler can keep
-        // in registers.
-        for i in 0..n {
-            let mut xi = x[i];
-            for (k, xk) in x[..i].iter().enumerate() {
-                let f = self.lu[(i, k)];
-                for (a, &b) in xi.iter_mut().zip(xk) {
-                    *a -= f * b;
-                }
-            }
-            x[i] = xi;
-        }
-        // Back substitution with U.
-        for i in (0..n).rev() {
-            let mut xi = x[i];
-            for (k, xk) in x.iter().enumerate().skip(i + 1) {
-                let f = self.lu[(i, k)];
-                for (a, &b) in xi.iter_mut().zip(xk) {
-                    *a -= f * b;
-                }
-            }
-            let d = self.lu[(i, i)];
-            for a in &mut xi {
-                *a /= d;
-            }
-            x[i] = xi;
-        }
-        Ok(())
-    }
-
     /// Solve `A X = B` for a matrix right-hand side.
     pub fn solve(&self, b: &Mat) -> Result<Mat> {
         let n = self.lu.rows();

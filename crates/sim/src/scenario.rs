@@ -29,6 +29,18 @@ use limeqo_core::MAX_CELLS;
 use limeqo_linalg::rng::SeededRng;
 use limeqo_linalg::Mat;
 
+/// The most tables a simulated catalog or one of its query classes may
+/// have. The registry's largest catalog has 21. The catalog is built table
+/// by table before anything runs, so an unbounded count in a spec file
+/// would be an allocation abort in the runner rather than a load error.
+pub(crate) const MAX_TABLES: usize = 64;
+
+/// The most arrivals an online trace may request. The trace is drawn in
+/// full before the first arrival, eight bytes per arrival. The registry's
+/// largest trace has 6000 arrivals, the fuzzer draws at most 1200, and the
+/// benchmark of record raises `online-zipf` to 30 000.
+pub(crate) const MAX_ARRIVALS: usize = 1 << 20;
+
 /// The environment a scenario explores.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioWorkload {
@@ -445,6 +457,21 @@ impl ScenarioSpec {
                 if spec.n_queries == 0 {
                     return fail("workload: n_queries >= 1".into());
                 }
+                if spec.catalog.n_tables == 0 {
+                    return fail("workload.catalog.n_tables: at least one table".into());
+                }
+                if spec.catalog.n_tables > MAX_TABLES {
+                    return fail(format!(
+                        "workload.catalog.n_tables: {} exceeds the {MAX_TABLES}-table limit",
+                        spec.catalog.n_tables
+                    ));
+                }
+                if let Some(c) = spec.class_mix.iter().find(|c| c.n_tables.1 > MAX_TABLES) {
+                    return fail(format!(
+                        "workload.class_mix.n_tables: {} exceeds the {MAX_TABLES}-table limit",
+                        c.n_tables.1
+                    ));
+                }
                 if spec.seed > MAX_EXACT {
                     return fail("workload.seed: exceeds 2^53 (not exact in a config file)".into());
                 }
@@ -509,6 +536,12 @@ impl ScenarioSpec {
         if let Some(arrivals) = &self.arrivals {
             if arrivals.count == 0 {
                 return fail("arrivals.count: at least one arrival".into());
+            }
+            if arrivals.count > MAX_ARRIVALS {
+                return fail(format!(
+                    "arrivals.count: {} exceeds the {MAX_ARRIVALS}-arrival limit",
+                    arrivals.count
+                ));
             }
             if arrivals.burst < 1 {
                 return fail("arrivals.burst: burst >= 1".into());
@@ -914,6 +947,31 @@ mod tests {
         let ScenarioWorkload::Sim(w) = &mut sim.workload else { panic!("sim") };
         w.n_queries = MAX_CELLS / 49 + 1;
         assert!(sim.check().unwrap_err().contains("cell limit"));
+    }
+
+    #[test]
+    fn check_bounds_the_catalog_and_the_arrival_trace() {
+        let sim = |f: &dyn Fn(&mut WorkloadSpec)| {
+            let mut spec = by_name("job-mini").unwrap();
+            let ScenarioWorkload::Sim(w) = &mut spec.workload else { panic!("sim") };
+            f(w);
+            spec.check()
+        };
+        // The bounds are inclusive; an empty catalog has no table to join.
+        assert_eq!(sim(&|w| w.catalog.n_tables = MAX_TABLES), Ok(()));
+        assert_eq!(sim(&|w| w.catalog.n_tables = 1), Ok(()));
+        assert!(sim(&|w| w.catalog.n_tables = 0).unwrap_err().contains("at least one table"));
+        assert!(sim(&|w| w.catalog.n_tables = MAX_TABLES + 1).unwrap_err().contains("table limit"));
+        assert_eq!(sim(&|w| w.class_mix[0].n_tables.1 = MAX_TABLES), Ok(()));
+        let err = sim(&|w| w.class_mix[0].n_tables = (1, 1_000_000_000)).unwrap_err();
+        assert!(err.contains("class_mix.n_tables"), "{err}");
+        let arrivals = |count: usize| {
+            let mut spec = by_name("online-uniform").unwrap();
+            spec.arrivals.as_mut().expect("online").count = count;
+            spec.check()
+        };
+        assert_eq!(arrivals(MAX_ARRIVALS), Ok(()));
+        assert!(arrivals(MAX_ARRIVALS + 1).unwrap_err().contains("arrival limit"));
     }
 
     #[test]

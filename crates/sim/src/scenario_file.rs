@@ -1157,4 +1157,28 @@ mod tests {
         assert!(err.msg.contains("cell limit"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// The same for the two other sizes a spec file sets: a simulated
+    /// catalog's table count and an online trace's arrival count.
+    #[test]
+    fn load_scenario_rejects_an_oversized_catalog_or_arrival_trace() {
+        let dir = std::env::temp_dir().join(format!("limeqo-hugesim-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut catalog = crate::scenario::by_name("job-mini").unwrap();
+        let ScenarioWorkload::Sim(w) = &mut catalog.workload else { panic!("sim") };
+        w.catalog.n_tables = 1_000_000_000;
+        let mut trace = crate::scenario::by_name("online-uniform").unwrap();
+        trace.arrivals.as_mut().expect("online").count = 1_000_000_000_000;
+        for (file, spec, want) in
+            [("tables.json", catalog, "table limit"), ("arrivals.json", trace, "arrival limit")]
+        {
+            let path = dir.join(file);
+            std::fs::write(&path, to_json_string(&spec)).unwrap();
+            let err = load_scenario(&path).unwrap_err();
+            assert_eq!(err.path, path);
+            assert!(err.to_string().starts_with(&format!("{}: ", path.display())), "{err}");
+            assert!(err.msg.contains(want), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
