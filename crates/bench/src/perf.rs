@@ -4,10 +4,9 @@
 //! trajectory) so future PRs can diff the numbers instead of guessing
 //! (PERF.md documents the workflow).
 //!
-//! Unlike the criterion benches (statistical, interactive), this emitter
-//! is a one-shot measurement harness: each hot path runs a few times and
-//! the minimum wall-clock is recorded — the stable "how fast can this
-//! machine do it" number, cheap enough for CI. The smoke configuration
+//! This emitter is a one-shot measurement harness: each hot path runs a few
+//! times and the minimum wall-clock is recorded — the stable "how fast can
+//! this machine do it" number, cheap enough for CI. The smoke configuration
 //! shrinks the matrix so the tier-1 gate can type-check *and execute* the
 //! emitter in seconds; `--full` measures the real 10k×49 shapes the
 //! acceptance numbers quote.
@@ -53,7 +52,6 @@ pub const REQUIRED_KEYS: &[&str] = &[
     "policy.sample_s",
     "policy.topk_s",
     "shard.select_s",
-    "shard.merge_s",
     "shard.als_s",
     "shard.mem_bytes",
     "svc.journal_append_s",
@@ -256,10 +254,9 @@ pub fn run(opts: &PerfOpts) -> Json {
     });
 
     // The sharded multi-tenant layer, at the 8-shard layout the scale-1m
-    // tier uses: one full policy `select` over a sharded store (per-shard
-    // Eq. 6 top-m + deterministic cross-shard merge), the k-way merge in
-    // isolation, the per-shard ALS fit, and the sparse matrix
-    // footprint the memory-budget table in PERF.md quotes.
+    // tier uses: one full policy `select` and one ALS fit over a sharded
+    // store, and the sparse matrix footprint the memory-budget table in
+    // PERF.md quotes.
     let shard_count = 8usize;
     let sharded_store = matured_store_sharded(n, k, 0xBE9C, shard_count);
     let swm = sharded_store.matrix();
@@ -276,30 +273,6 @@ pub fn run(opts: &PerfOpts) -> Json {
         let ctx = PolicyCtx { wm: swm, est_cost: None, store: Some(&sharded_store) };
         let mut rng = SeededRng::new(9);
         std::hint::black_box(shard_policy.select(&ctx, 64, &mut rng));
-    });
-    // The cross-shard merge in isolation: one ranked top-m list per shard
-    // (the Eq. 6 ranking's shape), merged under the subsystem's total
-    // order. `merge_ranked` consumes its lists, so one pre-built set per
-    // rep keeps the clone out of the timed region.
-    let merge_reps = reps.max(3);
-    // (score, row, col, weight) — the Eq. 6 ranked-candidate shape.
-    type RankedList = Vec<(f64, usize, usize, f64)>;
-    let merge_lists: Vec<RankedList> = swm
-        .shard_ranges()
-        .into_iter()
-        .map(|(start, end)| {
-            let mut rng = SeededRng::new(0x3D ^ start as u64);
-            let scored = (start..end).map(|row| (rng.uniform(0.0, 4.0), row, rng.index(k), 1.0));
-            limeqo_core::select::top_m_by(scored, topk_m, limeqo_core::select::score_desc)
-        })
-        .collect();
-    let mut merge_pools: Vec<Vec<RankedList>> =
-        (0..merge_reps).map(|_| merge_lists.clone()).collect();
-    let shard_merge = time_min(merge_reps, || {
-        let lists = merge_pools.pop().expect("one pre-built list set per rep");
-        let merged =
-            limeqo_core::select::merge_ranked(lists, topk_m, limeqo_core::select::score_desc);
-        std::hint::black_box(merged);
     });
 
     // Service durability layer. Journal append is the per-event tax the
@@ -492,7 +465,6 @@ pub fn run(opts: &PerfOpts) -> Json {
         ("policy.topk_s".into(), Json::Num(topk)),
         ("shard.count".into(), Json::Num(shard_count as f64)),
         ("shard.select_s".into(), Json::Num(shard_select)),
-        ("shard.merge_s".into(), Json::Num(shard_merge)),
         ("shard.als_s".into(), Json::Num(shard_als)),
         ("shard.mem_bytes".into(), Json::Num(shard_mem as f64)),
         ("svc.journal_append_s".into(), Json::Num(journal_append)),
@@ -528,7 +500,6 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
         "als.incremental_s",
         "scenario.end_to_end_s",
         "shard.select_s",
-        "shard.merge_s",
         "shard.als_s",
         "svc.journal_append_s",
         "svc.snapshot_s",

@@ -51,12 +51,11 @@
 //! Each half-step is independent per output row: the `Q` update solves one
 //! r-dimensional ridge system per *query*, the `H` update one per *hint*.
 //! [`AlsCompleter::threads`] splits the output rows across crossbeam scoped
-//! workers, each writing only its own pre-allocated rows: the `Q` rows
-//! shard by shard, the `H` rows in one batch. The Gram matrices `HᵀH` and
-//! `QᵀQ` are each one fixed-order reduction, formed before the split, and
-//! the `H` update reads each hint's cells from a column-major copy of the
-//! gathered cells, summed over rows in ascending order. So every output
-//! row's arithmetic is the same whatever the split, and the result is
+//! workers, each writing only its own pre-allocated rows. The Gram matrices
+//! `HᵀH` and `QᵀQ` are each one fixed-order reduction, formed before the
+//! split, and the `H` update reads each hint's cells from a column-major
+//! copy of the gathered cells, summed over rows in ascending order. So every
+//! output row's arithmetic is the same whatever the split, and the result is
 //! **byte-identical at any thread count and shard layout** (contract in
 //! PERF.md; pinned by `tests/tests/determinism.rs` at 1/2/8 threads and by
 //! `tests/tests/sharding.rs`).
@@ -70,7 +69,7 @@ use super::Completer;
 use crate::matrix::{Cell, WorkloadMatrix};
 use limeqo_linalg::par::{effective_threads, par_chunks};
 use limeqo_linalg::rng::SeededRng;
-use limeqo_linalg::{par, ridge_solve_cols, ridge_solve_rows_blocked, Mat, RidgeFactor};
+use limeqo_linalg::{par, ridge_solve_cols, ridge_solve_rows, Mat, RidgeFactor};
 
 /// Censored non-negative ALS matrix completion.
 #[derive(Debug, Clone)]
@@ -241,16 +240,15 @@ const FIXED_RANK: usize = 5;
 /// `other` (the factor held fixed), the sum runs over run `i` of `cells`,
 /// and `sᵢⱼ` is that cell's residual against the prediction `fᵢ·gⱼ`.
 ///
-/// `blocks` partition the output rows; each block's rows are split across
-/// `threads` workers. No row's arithmetic depends on the split. A singular
-/// normal matrix (possible only at λ = 0) is the factor's typed error.
+/// The output rows are split across `threads` workers. No row's arithmetic
+/// depends on the split. A singular normal matrix (possible only at λ = 0)
+/// is the factor's typed error.
 fn half_step(
     own: &Mat,
     other: &Mat,
     cells: &Runs,
     lambda: f64,
     threads: usize,
-    blocks: &[(usize, usize)],
 ) -> limeqo_linalg::Result<Mat> {
     let r = own.cols();
     let gram = other.t_matmul(other)?;
@@ -260,15 +258,12 @@ fn half_step(
     if r == 0 {
         return Ok(out);
     }
-    for &(start, end) in blocks {
-        // Two r×r products per row and two r-long passes per cell.
-        let work = 2 * r * ((end - start) * r + cells.starts[end] - cells.starts[start]);
-        let block = &mut out.as_mut_slice()[start * r..end * r];
-        par_chunks(block, r, effective_threads(threads, work), |c0, chunk| match r {
-            FIXED_RANK => step.rows::<FIXED_RANK>(start + c0, chunk),
-            _ => step.rows::<0>(start + c0, chunk),
-        });
-    }
+    // Two r×r products per row and two r-long passes per cell.
+    let work = 2 * r * (own.rows() * r + cells.entries.len());
+    par_chunks(out.as_mut_slice(), r, effective_threads(threads, work), |c0, chunk| match r {
+        FIXED_RANK => step.rows::<FIXED_RANK>(c0, chunk),
+        _ => step.rows::<0>(c0, chunk),
+    });
     Ok(out)
 }
 
@@ -324,8 +319,8 @@ pub const DENSE_REFERENCE_TOL: f64 = 1e-9;
 /// Algorithm 2 in its three-pass dense form, the reference the shipped
 /// half-step is checked against: each half-step forms `QHᵀ`
 /// ([`par::matmul_t`]), fills its observed cells, and solves the batched
-/// ridge problem on the filled matrix ([`ridge_solve_rows_blocked`] shard
-/// by shard, then [`ridge_solve_cols`]), at O(n·k·r) per half-step.
+/// ridge problem on the filled matrix ([`ridge_solve_rows`], then
+/// [`ridge_solve_cols`]), at O(n·k·r) per half-step.
 ///
 /// It runs the cold fit that `config`'s next call would make without warm
 /// factors: the same init, rank, λ, iterations, clamp, projection and
@@ -336,12 +331,11 @@ pub const DENSE_REFERENCE_TOL: f64 = 1e-9;
 pub fn dense_reference(config: &AlsCompleter, wm: &WorkloadMatrix) -> limeqo_linalg::Result<Mat> {
     let (n, k) = (wm.n_rows(), wm.n_cols());
     let cells = Runs::gather(wm, 0..n, config.censored);
-    let blocks = wm.shard_ranges();
     let (mut q, mut h) = config.random_init(config.calls + 1, n, k, cells.mean_complete());
     let (lambda, threads) = (config.lambda, config.threads);
     for _ in 0..config.iters {
         let w_hat = cells.fill(par::matmul_t(&q, &h, threads)?);
-        q = ridge_solve_rows_blocked(&h, &w_hat, lambda, threads, &blocks)?;
+        q = ridge_solve_rows(&h, &w_hat, lambda, threads)?;
         if config.nonneg {
             q.clamp_min(0.0);
         }
@@ -419,12 +413,6 @@ impl AlsCompleter {
         let k = wm.n_cols();
         let rows = Runs::gather(wm, 0..n, self.censored);
         let cols = rows.transpose(k);
-        // The Q update runs shard by shard against the shared inverse of
-        // HᵀH + λI: per-shard solves feeding one factor model. Each query
-        // row's update is independent of how its neighbours are batched, so
-        // any shard layout (including the single-shard default) produces
-        // byte-identical factors.
-        let shard_blocks = wm.shard_ranges();
 
         self.calls += 1;
         let r = self.rank.max(1);
@@ -448,13 +436,13 @@ impl AlsCompleter {
         let (lambda, threads) = (self.lambda, self.threads);
         for _ in 0..self.iters {
             // Q ← Ŵ H (HᵀH + λI)⁻¹ with Ŵ = QHᵀ + S: one r-dimensional
-            // ridge system per query row, shard by shard.
-            q = half_step(&q, &h, &rows, lambda, threads, &shard_blocks).expect("Q update");
+            // ridge system per query row.
+            q = half_step(&q, &h, &rows, lambda, threads).expect("Q update");
             if self.nonneg {
                 q.clamp_min(0.0);
             }
             // H ← Ŵᵀ Q (QᵀQ + λI)⁻¹ on the new Q: one system per hint.
-            h = half_step(&h, &q, &cols, lambda, threads, &[(0, k)]).expect("H update");
+            h = half_step(&h, &q, &cols, lambda, threads).expect("H update");
             if self.nonneg {
                 h.clamp_min(0.0);
             }
@@ -545,9 +533,8 @@ impl AlsCompleter {
                 q_d.row_mut(i).copy_from_slice(q.row(row));
             }
             let dirty_cells = Runs::gather(wm, dirty.iter().copied(), self.censored);
-            let mut q_d =
-                half_step(&q_d, &h, &dirty_cells, self.lambda, self.threads, &[(0, dirty.len())])
-                    .expect("incremental Q update");
+            let mut q_d = half_step(&q_d, &h, &dirty_cells, self.lambda, self.threads)
+                .expect("incremental Q update");
             if self.nonneg {
                 q_d.clamp_min(0.0);
             }
@@ -742,8 +729,8 @@ mod tests {
 
     #[test]
     fn sharded_matrix_completes_byte_identically() {
-        // Same logical cells, different shard layouts: the per-shard Q
-        // batches must feed the shared factor model without moving a bit.
+        // Same logical cells, different shard layouts: the fit must not move
+        // a bit.
         let (_, mut wm) = synthetic_low_rank(40, 12, 3, 0.3, 41);
         let planted: Vec<(usize, usize)> = wm.unobserved_cells().take(4).collect();
         for (i, (r, c)) in planted.into_iter().enumerate() {
@@ -890,20 +877,14 @@ mod tests {
             let lambda = rng.uniform(0.05, 1.0);
             let rows = Runs::gather(&wm, 0..n, true);
             let cols = rows.transpose(k);
-            let split = n / 2;
-            let steps = [
-                (&q, &h, &rows, vec![(0, split), (split, split), (split, n)]),
-                (&h, &q, &cols, vec![(0, k)]),
-            ];
-            for (own, other, cells, blocks) in steps {
-                let serial = half_step(own, other, cells, lambda, 1, &[(0, own.rows())]).unwrap();
+            for (own, other, cells) in [(&q, &h, &rows), (&h, &q, &cols)] {
+                let serial = half_step(own, other, cells, lambda, 1).unwrap();
                 let dense = dense_half_step(own, other, cells, lambda).unwrap();
                 let rel = rel_frobenius(&serial, &dense);
                 assert!(rel <= DENSE_REFERENCE_TOL, "seed {seed} r {r}: relative distance {rel}");
-                // Fewer rows than threads, and any block partition: the
-                // same bits.
+                // Fewer rows than threads: the same bits.
                 for threads in [1, 2, 8, 0] {
-                    let got = half_step(own, other, cells, lambda, threads, &blocks).unwrap();
+                    let got = half_step(own, other, cells, lambda, threads).unwrap();
                     assert_eq!(bits(&got), bits(&serial), "seed {seed} threads {threads}");
                 }
             }
@@ -966,8 +947,7 @@ mod tests {
             for (own, other, cells) in [(&q, &h, &rows), (&h, &q, &cols)] {
                 let want = outcome(dense_half_step(own, other, cells, 0.0));
                 for threads in [1, 2, 8] {
-                    let blocks = [(0, own.rows())];
-                    let got = outcome(half_step(own, other, cells, 0.0, threads, &blocks));
+                    let got = outcome(half_step(own, other, cells, 0.0, threads));
                     assert_eq!(got, want, "seed {seed} threads {threads}");
                 }
             }

@@ -28,11 +28,6 @@
 //! fixed order, so the refactor moves no goldens. The same property is
 //! what makes the journal in [`crate::persist`] sufficient for crash
 //! recovery.
-//!
-//! Cadence decisions (when to probe another batch, when to refresh the
-//! model) live in the [`AdmissionScheduler`], not in the mechanism, so a
-//! service can swap in a different schedule without touching the
-//! exploration semantics.
 
 use crate::complete::Completer;
 use crate::explore::{ExploreConfig, TraceEntry};
@@ -148,68 +143,6 @@ pub enum Action {
     ModelRefreshed,
 }
 
-/// Cadence policy: decides when the engine probes another offline round and
-/// when the online completion model is re-fit. Split from the [`Engine`]
-/// mechanism so a service can change schedules without touching exploration
-/// semantics. The defaults pin the legacy harness behavior exactly.
-#[derive(Debug, Clone)]
-pub struct AdmissionScheduler {
-    /// Online: re-fit the completion model every this many gamble attempts.
-    refresh_every: usize,
-    /// Gamble attempts since the last re-fit (starts saturated so the first
-    /// gamble always refreshes).
-    since_refresh: usize,
-    /// Offline: per-run safety valve — at most this many rounds per driver
-    /// run, however large the budget.
-    max_steps: usize,
-    /// Rounds admitted in the current driver run; reset by
-    /// [`AdmissionScheduler::start_run`]. Deliberately *per-run* state (the
-    /// legacy `run_until` counted steps locally), so it is not persisted:
-    /// recovery starts a fresh run.
-    run_steps: usize,
-}
-
-impl AdmissionScheduler {
-    fn new(max_steps: usize, refresh_every: usize) -> Self {
-        AdmissionScheduler { refresh_every, since_refresh: usize::MAX / 2, max_steps, run_steps: 0 }
-    }
-
-    /// Begin a driver run: resets the per-run round counter.
-    pub fn start_run(&mut self) {
-        self.run_steps = 0;
-    }
-
-    /// Offline admission: may the driver probe another round, given the
-    /// clock and its budget? Counts the round when admitted.
-    pub fn admit_round(&mut self, time_spent: f64, budget: f64) -> bool {
-        if time_spent >= budget || self.run_steps >= self.max_steps {
-            return false;
-        }
-        self.run_steps += 1;
-        true
-    }
-
-    /// Online admission: re-fit the model for this gamble? Replicates the
-    /// legacy cadence exactly — refresh when no predictions exist or the
-    /// period elapsed; the staleness counter advances per gamble either way.
-    fn admit_refresh(&mut self, have_predictions: bool) -> bool {
-        let refresh = !have_predictions || self.since_refresh >= self.refresh_every;
-        if refresh {
-            self.since_refresh = 0;
-        }
-        self.since_refresh += 1;
-        refresh
-    }
-
-    pub(crate) fn persist_state(&self) -> u64 {
-        self.since_refresh as u64
-    }
-
-    pub(crate) fn restore_state(&mut self, since_refresh: u64) {
-        self.since_refresh = since_refresh as usize;
-    }
-}
-
 /// An issued online gamble awaiting its observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct PendingGamble {
@@ -262,12 +195,15 @@ pub struct Engine<'a> {
     pub(crate) batch: usize,
     pub(crate) retention: DriftPolicy,
     pub(crate) online_cfg: Option<OnlineConfig>,
-    pub(crate) scheduler: AdmissionScheduler,
+    /// Online gamble attempts since the completion model was last re-fit.
+    /// Starts saturated, so the first gamble always refreshes.
+    pub(crate) since_refresh: usize,
     pub(crate) rng: SeededRng,
     /// Simulated offline exploration seconds spent (Eq. 3).
     pub(crate) time_spent: f64,
     /// Wall-clock model overhead seconds (Figs. 7/13). Informational: not
-    /// part of the determinism contract and not persisted exactly.
+    /// part of the determinism contract and not persisted, so recovery
+    /// starts it at 0.
     pub(crate) overhead: f64,
     pub(crate) cells_executed: usize,
     pub(crate) trace: Vec<TraceEntry>,
@@ -313,7 +249,7 @@ impl<'a> Engine<'a> {
             batch: cfg.batch,
             retention: cfg.retention,
             online_cfg: None,
-            scheduler: AdmissionScheduler::new(cfg.max_steps, usize::MAX),
+            since_refresh: usize::MAX / 2,
             rng: SeededRng::new(cfg.seed ^ 0xEE77),
             time_spent: 0.0,
             overhead: 0.0,
@@ -348,7 +284,7 @@ impl<'a> Engine<'a> {
             est_cost: None,
             batch: 0,
             retention: DriftPolicy::legacy(),
-            scheduler: AdmissionScheduler::new(usize::MAX, cfg.refresh_every),
+            since_refresh: usize::MAX / 2,
             rng: SeededRng::new(cfg.seed ^ 0x0411E),
             online_cfg: Some(cfg.clone()),
             time_spent: 0.0,
@@ -452,9 +388,14 @@ impl<'a> Engine<'a> {
                 return self.resolve_gamble(g, value, censored);
             }
         }
-        if let Some(pos) = self.pending.iter().position(|c| c.row == row && c.col == col) {
-            self.pending.remove(pos);
-        }
+        let Some(pos) = self.pending.iter().position(|c| c.row == row && c.col == col) else {
+            // No probe is pending for this cell: a duplicate delivery, a
+            // result for a probe a data shift cleared or a failure moved to
+            // the retry queue, or a cell nobody probed. Ignore it, as
+            // unknown failures are ignored.
+            return Vec::new();
+        };
+        self.pending.remove(pos);
         self.clear_fail_count(row, col);
         if censored {
             self.store.record_censored(row, col, value);
@@ -562,7 +503,10 @@ impl<'a> Engine<'a> {
         }
         self.stats.explored += 1;
         let mut actions = Vec::new();
-        if self.scheduler.admit_refresh(self.predictions.is_some()) {
+        // Re-fit when no predictions exist or the period elapsed; the
+        // staleness counter advances per gamble either way.
+        if self.predictions.is_none() || self.since_refresh >= cfg.refresh_every {
+            self.since_refresh = 0;
             let started = std::time::Instant::now();
             self.predictions = Some(
                 self.completer
@@ -573,6 +517,7 @@ impl<'a> Engine<'a> {
             self.overhead += started.elapsed().as_secs_f64();
             actions.push(Action::ModelRefreshed);
         }
+        self.since_refresh += 1;
         let pred = self.predictions.as_ref().expect("predictions fresh");
         let wm = self.store.matrix();
 
@@ -640,18 +585,6 @@ impl<'a> Engine<'a> {
         self.fail_counts.clear();
         self.predictions = None;
         Vec::new()
-    }
-
-    /// Offline admission helper for drivers: combines the scheduler's
-    /// per-run cap with the time budget.
-    pub fn admit_round(&mut self, budget: f64) -> bool {
-        let t = self.time_spent;
-        self.scheduler.admit_round(t, budget)
-    }
-
-    /// The cadence scheduler (mutable, e.g. to [`AdmissionScheduler::start_run`]).
-    pub fn scheduler_mut(&mut self) -> &mut AdmissionScheduler {
-        &mut self.scheduler
     }
 
     /// The observation store.
@@ -778,6 +711,16 @@ mod tests {
         })
     }
 
+    /// Everything an observation can move: the store, the clock, the trace,
+    /// the executed-cell count, the retry queue and the online stats.
+    fn footprint(e: &Engine<'_>) -> String {
+        let mut enc = crate::persist::Enc::new();
+        e.store.save_state(&mut enc);
+        let (clock, cells) = (e.time_spent, e.cells_executed);
+        let (trace, retries, stats) = (&e.trace, &e.retry_queue, &e.stats);
+        format!("{} {clock} {cells} {trace:?} {retries:?} {stats:?}", enc.finish())
+    }
+
     #[test]
     fn failed_probes_retry_on_the_exponential_backoff_schedule() {
         let mut e = offline_engine(RetryPolicy { max_retries: 3, backoff_base: 1 });
@@ -901,5 +844,46 @@ mod tests {
         assert_eq!(e.stats().total_latency, 10.0);
         assert_eq!(e.wm().cell(0, col), Cell::Unobserved);
         assert_eq!(e.retry_pending(), 0, "gambles fall back, they do not retry");
+    }
+
+    #[test]
+    fn observations_without_a_pending_probe_are_ignored() {
+        // A duplicated delivery.
+        let mut e = offline_engine(RetryPolicy::default());
+        let (row, col, timeout) = first_probe(&e.step(Event::Tick)).expect("batch of 1");
+        e.step(execute_probe(row, col, timeout, 1.0));
+        let before = footprint(&e);
+        assert!(e.step(execute_probe(row, col, timeout, 1.0)).is_empty());
+        assert_eq!(footprint(&e), before, "a duplicated delivery");
+
+        // A result arriving after a data shift cleared the pending probe.
+        let mut e = offline_engine(RetryPolicy::default());
+        let (row, col, timeout) = first_probe(&e.step(Event::Tick)).expect("batch of 1");
+        e.step(Event::DataShift { new_rows: 3, observations: Vec::new() });
+        let before = footprint(&e);
+        e.step(execute_probe(row, col, timeout, 1.0));
+        assert_eq!(footprint(&e), before, "a result after a data shift");
+
+        // A late result after the failure moved the probe to the retry
+        // queue: only the retry's result is charged.
+        let mut e = offline_engine(RetryPolicy::default());
+        let (row, col, timeout) = first_probe(&e.step(Event::Tick)).expect("batch of 1");
+        e.step(Event::ProbeFailed { row, col });
+        let before = footprint(&e);
+        e.step(execute_probe(row, col, timeout, 1.0));
+        assert_eq!(footprint(&e), before, "a late result after a failure");
+        assert_eq!(e.step(Event::Tick).first(), Some(&Action::Probe { row, col, timeout }));
+        e.step(execute_probe(row, col, timeout, 1.0));
+        assert_eq!((e.time_spent(), e.cells_executed(), e.trace().len()), (1.0, 1, 1));
+
+        // A non-gamble observation on an online engine.
+        let store = ObservationStore::with_defaults(&[10.0], 3);
+        let cfg = OnlineConfig { explore_prob: 1.0, ..Default::default() };
+        let mut e = Engine::online(store, Box::new(FlatCompleter(1.0)), &cfg);
+        let (row, col, _) = first_probe(&e.step(Event::Arrival { row: 0 })).expect("a gamble");
+        let other = if col == 1 { 2 } else { 1 };
+        let before = footprint(&e);
+        e.step(Event::Observation { row, col: other, value: 2.0, censored: false });
+        assert_eq!(footprint(&e), before, "a non-gamble observation online");
     }
 }

@@ -123,9 +123,9 @@ pub struct ExploreConfig {
     /// own knobs in here.
     pub retention: DriftPolicy,
     /// Shard count for the workload matrix (1 = the unsharded layout).
-    /// A pure scale-out knob: every run is bit-identical at any value (the
+    /// A pure storage knob: every run is bit-identical at any value (the
     /// sharded-equivalence contract — see ARCHITECTURE.md), sharding only
-    /// changes which per-shard indexes back the selection and ALS paths.
+    /// changes which per-shard indexes store the matrix.
     pub shards: usize,
     /// Bounded-retry policy for probes that fail at the transport level
     /// ([`Event::ProbeFailed`]). A no-op while no probe ever fails, so the
@@ -193,6 +193,9 @@ pub struct Explorer<'a> {
     probe_fail_rate: f64,
     /// Dedicated stream for fault placement; never drawn at rate 0.
     fault_rng: SeededRng,
+    /// [`ExploreConfig::max_steps`]: the most rounds one
+    /// [`Explorer::run_until`] call probes.
+    max_steps: usize,
 }
 
 impl<'a> Explorer<'a> {
@@ -213,7 +216,7 @@ impl<'a> Explorer<'a> {
             .collect();
         let store = ObservationStore::with_defaults_sharded(&defaults, k, cfg.shards);
         let name = policy.name().to_string();
-        let probe_fail_rate = cfg.probe_fail_rate;
+        let (probe_fail_rate, max_steps) = (cfg.probe_fail_rate, cfg.max_steps);
         // Fault placement draws from its own stream, never the policy's.
         let fault_rng =
             SeededRng::new(cfg.seed ^ cfg.probe_fail_seed.rotate_left(17) ^ 0xFA17_1CED);
@@ -225,6 +228,7 @@ impl<'a> Explorer<'a> {
             curve: Curve::new(name),
             probe_fail_rate,
             fault_rng,
+            max_steps,
         };
         explorer.record_point();
         explorer
@@ -317,9 +321,8 @@ impl<'a> Explorer<'a> {
     /// Explore until the simulated offline clock reaches `time_budget`
     /// seconds (or nothing is left / `max_steps` hit).
     pub fn run_until(&mut self, time_budget: f64) {
-        self.engine.scheduler_mut().start_run();
-        while self.engine.admit_round(time_budget) {
-            if !self.step() {
+        for _ in 0..self.max_steps {
+            if self.time_spent() >= time_budget || !self.step() {
                 break;
             }
         }

@@ -13,8 +13,7 @@
 //!   baselines of §5,
 //! * [`engine`] — the tick-driven exploration engine: an event-step state
 //!   machine (`step(Event) -> Vec<Action>`) that both harnesses and the
-//!   `limeqo-svc` daemon drive, plus the [`engine::AdmissionScheduler`]
-//!   cadence policy,
+//!   `limeqo-svc` daemon drive,
 //! * [`explore`] — the offline exploration harness: simulated-time
 //!   accounting (each executed cell charges `min(true latency, timeout)`
 //!   seconds, Eq. 3), wall-clock overhead metering for the predictive
@@ -69,7 +68,7 @@ pub mod select;
 pub mod store;
 
 pub use complete::{AlsCompleter, Completer, NucCompleter, SvtCompleter};
-pub use engine::{execute_probe, Action, AdmissionScheduler, Engine, Event, RetryPolicy};
+pub use engine::{execute_probe, Action, Engine, Event, RetryPolicy};
 pub use explore::{ExploreConfig, Explorer, MatOracle, Oracle, TraceEntry};
 pub use fault::{
     FaultAt, FaultKind, FaultProbe, FaultScript, FaultStorage, FsStorage, OpClass, ScriptedFault,

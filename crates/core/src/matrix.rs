@@ -269,7 +269,7 @@ impl WorkloadMatrix {
     }
 
     /// Global `[start, end)` row range of every shard, ascending.
-    pub fn shard_ranges(&self) -> Vec<(usize, usize)> {
+    pub(crate) fn shard_ranges(&self) -> Vec<(usize, usize)> {
         self.shards.iter().map(|s| (s.start, s.start + s.rows())).collect()
     }
 

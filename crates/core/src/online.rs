@@ -42,7 +42,7 @@ pub struct OnlineConfig {
     /// RNG seed.
     pub seed: u64,
     /// Workload-matrix shard count (1 = the unsharded layout). A pure
-    /// scale-out knob — any value serves bit-identical arrivals (the
+    /// storage knob — any value serves bit-identical arrivals (the
     /// sharded equivalence contract).
     pub shards: usize,
 }

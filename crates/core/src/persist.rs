@@ -14,7 +14,7 @@
 //!   replays its journal tail, resuming **bit-identically at any kill
 //!   point** — the restart extension of the PERF.md determinism contract.
 //!
-//! # On-disk format (version `v1`)
+//! # On-disk format (snapshot `v2`, journal `v1`)
 //!
 //! A state directory holds `snap-<N>.snap` and `wal-<N>.log` files, where
 //! `N` is the count of events applied when the snapshot was taken;
@@ -22,7 +22,7 @@
 //! line-oriented UTF-8:
 //!
 //! ```text
-//! snap-N.snap:   limeqo-snap v1 <N>
+//! snap-N.snap:   limeqo-snap v2 <N>
 //!                <payload tokens, one line>
 //!                crc <crc32-hex of the payload line>
 //!
@@ -382,7 +382,7 @@ pub fn decode_event(body: &str) -> Result<Event> {
 // ---------------------------------------------------------------------------
 // Engine state codec.
 
-const SNAP_MAGIC: &str = "limeqo-snap v1";
+const SNAP_MAGIC: &str = "limeqo-snap v2";
 const WAL_MAGIC: &str = "limeqo-wal v1";
 
 fn save_rng(enc: &mut Enc, rng: &SeededRng) {
@@ -408,12 +408,13 @@ fn load_rng(dec: &mut Dec<'_>) -> Result<SeededRng> {
 /// Serialize the full mutable engine state. The *configuration* (policy
 /// spec, batch, seeds, retention) is not included — the recovering caller
 /// rebuilds an identically configured engine first and `config_tag` guards
-/// against mismatches.
+/// against mismatches. Nor is the wall-clock overhead meter: it is not
+/// replayed state, so two identical runs write identical snapshots and a
+/// recovered engine meters from 0.
 fn save_engine(enc: &mut Enc, engine: &Engine<'_>) {
     engine.store.save_state(enc);
     save_rng(enc, &engine.rng);
     enc.f(engine.time_spent);
-    enc.f(engine.overhead);
     enc.i(engine.cells_executed);
     enc.i(engine.trace.len());
     for t in &engine.trace {
@@ -428,7 +429,7 @@ fn save_engine(enc: &mut Enc, engine: &Engine<'_>) {
         enc.i(p.col);
         enc.f(p.timeout);
     }
-    enc.u(engine.scheduler.persist_state());
+    enc.u(engine.since_refresh as u64);
     match &engine.predictions {
         Some(m) => {
             enc.b(true);
@@ -489,7 +490,6 @@ fn load_engine(dec: &mut Dec<'_>, engine: &mut Engine<'_>) -> Result<()> {
     engine.store = ObservationStore::load_state(dec)?;
     engine.rng = load_rng(dec)?;
     engine.time_spent = dec.f()?;
-    engine.overhead = dec.f()?;
     engine.cells_executed = dec.i()?;
     let n = dec.i()?;
     engine.trace = Vec::with_capacity(n.min(1 << 24));
@@ -506,8 +506,7 @@ fn load_engine(dec: &mut Dec<'_>, engine: &mut Engine<'_>) -> Result<()> {
     for _ in 0..n {
         engine.pending.push(CellChoice { row: dec.i()?, col: dec.i()?, timeout: dec.f()? });
     }
-    let since_refresh = dec.u()?;
-    engine.scheduler.restore_state(since_refresh);
+    engine.since_refresh = dec.u()? as usize;
     engine.predictions = if dec.b()? { Some(dec.mat()?) } else { None };
     engine.gamble = if dec.b()? {
         Some(PendingGamble {
@@ -1395,5 +1394,40 @@ mod tests {
             "clock recovers exactly across a snapshot-boundary kill"
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn identical_runs_write_identical_state_directories() {
+        // The wall-clock overhead meter stays out of the snapshot, so two
+        // identically driven engines leave the same bytes on disk.
+        let truth = truth_matrix(24, 8, 49);
+        let dcfg = DurableConfig { snapshot_every: 10, keep_snapshots: 2 };
+        let run = |name: &str| -> Vec<(String, Vec<u8>)> {
+            let dir = test_dir(name);
+            let mut de =
+                DurableEngine::create(&dir, fresh_engine(&truth), "tag", dcfg.clone()).unwrap();
+            drive_durable(&mut de, &truth, 6);
+            drop(de);
+            let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap())
+                .map(|e| {
+                    (e.file_name().to_string_lossy().into_owned(), fs::read(e.path()).unwrap())
+                })
+                .filter(|(name, _)| name.starts_with("snap-") || name.starts_with("wal-"))
+                .collect();
+            files.sort();
+            let _ = fs::remove_dir_all(&dir);
+            files
+        };
+        let (a, b) = (run("bytes-a"), run("bytes-b"));
+        let names = |files: &[(String, Vec<u8>)]| -> Vec<String> {
+            files.iter().map(|(name, _)| name.clone()).collect()
+        };
+        assert_eq!(names(&a), names(&b));
+        assert!(names(&a).iter().any(|name| name.starts_with("snap-")), "{:?}", names(&a));
+        for ((name, x), (_, y)) in a.iter().zip(&b) {
+            assert!(x == y, "{name} differs between identical runs");
+        }
     }
 }

@@ -308,40 +308,29 @@ impl Policy for LimeQoPolicy {
         // refreshed against the current completion.
         let force_full = self.rescore_every > 0 && self.rounds % self.rescore_every as u64 == 0;
         self.rounds += 1;
-        // Lines 3–7, shard by shard: each shard scores its own row range
-        // and keeps a bounded top-`batch`, then the per-shard winners are
-        // k-way merged under the same named total order (score desc, then
-        // global row/col asc). Any global top-`batch` candidate is by
-        // definition inside its own shard's top-`batch`, and the order is
-        // total, so the merged result is *identical* to ranking all rows
-        // in one pass — the single-shard layout takes exactly that path.
-        let ranges = wm.shard_ranges();
-        let mut shard_tops: Vec<Vec<(f64, usize, usize, f64)>> = Vec::with_capacity(ranges.len());
-        for &(start, end) in &ranges {
-            let mut scored: Vec<(f64, usize, usize, f64)> = Vec::new(); // (score, row, col, pred)
-            for row in start..end {
-                let entry = if incremental {
-                    let store = ctx.store.expect("incremental requires a store");
-                    let rev = store.row_rev(row);
-                    let cepoch = store.completion_epoch();
-                    let cached = &mut self.cache[row];
-                    if cached.rev != rev || cached.cepoch != cepoch || force_full {
-                        *cached = CachedScore { rev, cepoch, entry: score_row(row) };
-                    }
-                    cached.entry
-                } else {
-                    score_row(row)
-                };
-                if let Some((score, col, pred)) = entry {
-                    scored.push((score, row, col as usize, pred));
+        // Lines 3–7: score every row, then keep the top-`batch` candidates.
+        let mut scored: Vec<(f64, usize, usize, f64)> = Vec::new(); // (score, row, col, pred)
+        for row in 0..wm.n_rows() {
+            let entry = if incremental {
+                let store = ctx.store.expect("incremental requires a store");
+                let rev = store.row_rev(row);
+                let cepoch = store.completion_epoch();
+                let cached = &mut self.cache[row];
+                if cached.rev != rev || cached.cepoch != cepoch || force_full {
+                    *cached = CachedScore { rev, cepoch, entry: score_row(row) };
                 }
+                cached.entry
+            } else {
+                score_row(row)
+            };
+            if let Some((score, col, pred)) = entry {
+                scored.push((score, row, col as usize, pred));
             }
-            // Bounded heap selection under the subsystem's named total
-            // order, which reproduces the stable full sort's tie-breaks at
-            // O(n log m) instead of O(n log n).
-            shard_tops.push(crate::select::top_m_by(scored, batch, crate::select::score_desc));
         }
-        let top = crate::select::merge_ranked(shard_tops, batch, crate::select::score_desc);
+        // Bounded heap selection under the subsystem's named total order,
+        // which reproduces the stable full sort's tie-breaks at O(n log m)
+        // instead of O(n log n).
+        let top = crate::select::top_m_by(scored, batch, crate::select::score_desc);
         let mut out: Vec<CellChoice> = Vec::with_capacity(batch);
         for (_, row, col, pred) in top {
             let observed_min = wm.row_best(row).map(|(_, v)| v).unwrap_or(f64::INFINITY);
@@ -366,33 +355,24 @@ impl Policy for LimeQoPolicy {
             let want = batch - out.len();
             let chosen: std::collections::HashSet<(usize, usize)> =
                 out.iter().map(|c| (c.row, c.col)).collect();
-            let mut shard_gaps: Vec<Vec<(f64, usize, usize, f64)>> =
-                Vec::with_capacity(ranges.len());
-            for &(start, end) in &ranges {
-                let mut candidates: Vec<(f64, usize, usize, f64)> = Vec::new();
-                for row in start..end {
-                    let Some((_, row_best)) = wm.row_best(row) else { continue };
-                    // Only observed cells can be censored: sweep the compact
-                    // index (ascending columns — the dense scan's order).
-                    for &col in wm.observed_cols(row) {
-                        let col = col as usize;
-                        if let Cell::Censored(bound) = wm.cell(row, col) {
-                            if bound < row_best * 0.999 && !chosen.contains(&(row, col)) {
-                                candidates.push((row_best - bound, row, col, row_best));
-                            }
+            let mut candidates: Vec<(f64, usize, usize, f64)> = Vec::new();
+            for row in 0..wm.n_rows() {
+                let Some((_, row_best)) = wm.row_best(row) else { continue };
+                // Only observed cells can be censored: sweep the compact
+                // index (ascending columns — the dense scan's order).
+                for &col in wm.observed_cols(row) {
+                    let col = col as usize;
+                    if let Cell::Censored(bound) = wm.cell(row, col) {
+                        if bound < row_best * 0.999 && !chosen.contains(&(row, col)) {
+                            candidates.push((row_best - bound, row, col, row_best));
                         }
                     }
                 }
-                // Bounded heap pick under the same named total order as the
-                // Eq. 6 ranking: gap desc, then row/col asc (the stable full
-                // sort's tie-break — candidates were pushed row-major).
-                shard_gaps.push(crate::select::top_m_by(
-                    candidates,
-                    want,
-                    crate::select::score_desc,
-                ));
             }
-            let picked = crate::select::merge_ranked(shard_gaps, want, crate::select::score_desc);
+            // Bounded heap pick under the same named total order as the Eq. 6
+            // ranking: gap desc, then row/col asc (the stable full sort's
+            // tie-break — candidates were pushed row-major).
+            let picked = crate::select::top_m_by(candidates, want, crate::select::score_desc);
             for (_, row, col, row_best) in picked {
                 out.push(CellChoice { row, col, timeout: row_best });
             }

@@ -174,51 +174,6 @@ pub fn top_m_by<T>(
     heap
 }
 
-/// Deterministic k-way merge of per-shard rankings: given one
-/// already-best-first list per shard (each produced by [`top_m_by`] under
-/// the same `cmp`), return the best `m` items overall, best-first.
-///
-/// Provided `cmp` is a *total* order across shards (the named orders
-/// qualify: positions are globally unique, so no two candidates from any
-/// shards compare [`Ordering::Equal`]), the merge of per-shard top-m lists
-/// equals the global top-m — every global winner is necessarily inside its
-/// own shard's top-m — so sharded selection is bit-identical to the
-/// unsharded path by construction. With a single input list the merge is
-/// the identity on its first `m` elements, which is why the one-shard
-/// engine needs no special case. Cost is O(m · shards); shard counts are
-/// small, so no heap over heads is warranted.
-pub fn merge_ranked<T: Copy>(
-    lists: Vec<Vec<T>>,
-    m: usize,
-    mut cmp: impl FnMut(&T, &T) -> Ordering,
-) -> Vec<T> {
-    let mut heads = vec![0usize; lists.len()];
-    let mut out = Vec::with_capacity(m.min(lists.iter().map(Vec::len).sum()));
-    while out.len() < m {
-        let mut best: Option<usize> = None;
-        for (i, list) in lists.iter().enumerate() {
-            if heads[i] < list.len() {
-                match best {
-                    None => best = Some(i),
-                    Some(b) => {
-                        if cmp(&list[heads[i]], &lists[b][heads[b]]) == Ordering::Less {
-                            best = Some(i);
-                        }
-                    }
-                }
-            }
-        }
-        match best {
-            Some(i) => {
-                out.push(lists[i][heads[i]]);
-                heads[i] += 1;
-            }
-            None => break,
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,45 +259,6 @@ mod tests {
         );
         let asc = top_m_by(vec![(1.0, 1, 0), (0.5, 2, 2), (1.0, 0, 5)], 2, score_asc);
         assert_eq!(asc, vec![(0.5, 2, 2), (1.0, 0, 5)]);
-    }
-
-    #[test]
-    fn merge_of_shard_tops_equals_global_top_m() {
-        // The sharded-selection correctness argument in one test: chop a
-        // candidate stream into arbitrary contiguous shards, take each
-        // shard's top-m, merge — the result must equal the global top-m,
-        // for every shard count including 1 (the identity case).
-        let mut rng = SeededRng::new(0x5AAD);
-        for case in 0..200 {
-            let n = 1 + rng.index(80);
-            let m = rng.index(n + 4);
-            let items: Vec<(f64, usize, usize)> = (0..n)
-                // Coarse quantization forces cross-shard score ties that
-                // only the positional tie-break resolves.
-                .map(|i| ((rng.uniform(0.0, 3.0) * 3.0).floor() / 3.0, i / 7, i % 7))
-                .collect();
-            let global = top_m_by(items.clone(), m, score_desc);
-            for shards in [1usize, 2, 3, 8] {
-                let per = n.div_ceil(shards).max(1);
-                let tops: Vec<Vec<(f64, usize, usize)>> = items
-                    .chunks(per)
-                    .map(|chunk| top_m_by(chunk.iter().copied(), m, score_desc))
-                    .collect();
-                let merged = merge_ranked(tops, m, score_desc);
-                assert_eq!(merged, global, "case {case}, {shards} shards");
-            }
-        }
-    }
-
-    #[test]
-    fn merge_ranked_edge_cases() {
-        assert!(merge_ranked(Vec::<Vec<(f64, usize)>>::new(), 3, order).is_empty());
-        assert!(merge_ranked(vec![vec![(1.0, 0)]], 0, order).is_empty());
-        // Short lists exhaust gracefully; a single list passes through.
-        assert_eq!(
-            merge_ranked(vec![vec![(2.0, 1), (1.0, 3)], vec![]], 5, order),
-            vec![(2.0, 1), (1.0, 3)]
-        );
     }
 
     #[test]

@@ -457,8 +457,8 @@ impl ObservationStore {
         let (n, k) = (self.wm.n_rows(), self.wm.n_cols());
         enc.i(n);
         enc.i(k);
-        // Shard layout travels with the snapshot: a recovered store must
-        // partition identically or its merge order could diverge.
+        // The shard layout travels with the snapshot as storage: a recovered
+        // store keeps the per-shard indices it was saved with.
         let ranges = self.wm.shard_ranges();
         enc.i(ranges.len());
         for &(start, end) in &ranges {

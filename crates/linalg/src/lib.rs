@@ -53,9 +53,7 @@ pub use cholesky::{cholesky, cholesky_solve, CholeskyFactor};
 pub use eigen::{eigen_sym, EigenSym};
 pub use error::{LinalgError, Result};
 pub use fenwick::Fenwick;
-pub use lstsq::{
-    lstsq, ridge_solve, ridge_solve_cols, ridge_solve_rows, ridge_solve_rows_blocked, RidgeFactor,
-};
+pub use lstsq::{lstsq, ridge_solve, ridge_solve_cols, ridge_solve_rows, RidgeFactor};
 pub use lu::{lu, lu_solve, LuFactor};
 pub use matrix::Mat;
 pub use norms::{frobenius_norm, masked_mse, max_abs_diff};

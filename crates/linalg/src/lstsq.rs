@@ -161,39 +161,6 @@ impl RidgeFactor {
 /// }
 /// ```
 pub fn ridge_solve_rows(g: &Mat, b_rows: &Mat, lambda: f64, threads: usize) -> Result<Mat> {
-    ridge_solve_rows_blocked(g, b_rows, lambda, threads, &[(0, b_rows.rows())])
-}
-
-/// [`ridge_solve_rows`] with the right-hand-side rows partitioned into
-/// caller-supplied contiguous `blocks` (`(start, end)` half-open, ascending,
-/// covering `0..b_rows.rows()` exactly) — the entry point behind per-shard
-/// ALS factor solves: each shard's query rows are one block, solved as its
-/// own batch against the *shared* factored normal matrix.
-///
-/// Because every output row's floating-point sequence (gather `bᵢ`,
-/// `Gᵀbᵢ`, triangular solves) is independent of how its neighbours are
-/// batched, the result is byte-identical to the unblocked call for **any**
-/// block partition and any thread count — which is what pins the sharded
-/// engine's factor model to the unsharded one bit for bit.
-///
-/// ```
-/// use limeqo_linalg::{ridge_solve_rows, ridge_solve_rows_blocked, Mat};
-/// use limeqo_linalg::rng::SeededRng;
-///
-/// let mut rng = SeededRng::new(3);
-/// let g = rng.uniform_mat(6, 3, 0.0, 1.0);
-/// let b = rng.uniform_mat(10, 6, 0.0, 1.0);
-/// let whole = ridge_solve_rows(&g, &b, 0.2, 2).unwrap();
-/// let blocked = ridge_solve_rows_blocked(&g, &b, 0.2, 2, &[(0, 4), (4, 4), (4, 10)]).unwrap();
-/// assert_eq!(blocked.as_slice(), whole.as_slice());
-/// ```
-pub fn ridge_solve_rows_blocked(
-    g: &Mat,
-    b_rows: &Mat,
-    lambda: f64,
-    threads: usize,
-    blocks: &[(usize, usize)],
-) -> Result<Mat> {
     if g.rows() != b_rows.cols() {
         return Err(LinalgError::ShapeMismatch {
             op: "ridge_solve_rows",
@@ -201,49 +168,7 @@ pub fn ridge_solve_rows_blocked(
             rhs: b_rows.shape(),
         });
     }
-    let q = b_rows.rows();
-    assert_row_partition(blocks, q);
-    let factor = RidgeFactor::new(g, lambda)?;
-    let p = g.cols();
-    let mut out = Mat::zeros(q, p);
-    if p == 0 {
-        return Ok(out);
-    }
-    for &(start, end) in blocks {
-        if start == end {
-            continue;
-        }
-        // The dominant per-chunk cost is the GᵀB product: m·p per RHS.
-        let t = crate::par::effective_threads(threads, (end - start) * g.rows() * p);
-        let sub = &mut out.as_mut_slice()[start * p..end * p];
-        par_chunks(sub, p, t, |r0, chunk| {
-            let width = chunk.len() / p;
-            // Gather this chunk's right-hand sides as columns: m × width.
-            let bt = b_rows.row_block(start + r0, start + r0 + width).transpose();
-            let gtb = g.t_matmul(&bt).expect("shape pre-validated");
-            let x = factor.solve(&gtb).expect("shape pre-validated");
-            for (i, out_row) in chunk.chunks_mut(p).enumerate() {
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    *o = x[(j, i)];
-                }
-            }
-        });
-    }
-    Ok(out)
-}
-
-/// Panic unless `blocks` are contiguous ascending `(start, end)` ranges
-/// covering `0..rows` exactly (empty blocks allowed).
-pub(crate) fn assert_row_partition(blocks: &[(usize, usize)], rows: usize) {
-    let mut expect = 0usize;
-    for &(start, end) in blocks {
-        assert!(
-            start == expect && end >= start,
-            "blocks must partition 0..{rows} contiguously: got ({start}, {end}) after {expect}"
-        );
-        expect = end;
-    }
-    assert!(expect == rows, "blocks must cover 0..{rows}: ended at {expect}");
+    solve_batched(g, lambda, b_rows.rows(), threads, |a, b| b_rows.row_block(a, b).transpose())
 }
 
 /// Batched ridge solve over **columns**: every column of `b` is an
@@ -272,18 +197,32 @@ pub fn ridge_solve_cols(g: &Mat, b: &Mat, lambda: f64, threads: usize) -> Result
             rhs: b.shape(),
         });
     }
+    solve_batched(g, lambda, b.cols(), threads, |a, e| b.col_block(a, e))
+}
+
+/// The shared body of [`ridge_solve_rows`] and [`ridge_solve_cols`]: factor
+/// `GᵀG + λI` once and solve `count` right-hand sides in contiguous chunks
+/// across `threads` workers, where `gather(a, b)` returns right-hand sides
+/// `a..b` as the columns of an m × (b − a) matrix. Row i of the result is
+/// the solution for right-hand side i.
+fn solve_batched(
+    g: &Mat,
+    lambda: f64,
+    count: usize,
+    threads: usize,
+    gather: impl Fn(usize, usize) -> Mat + Sync,
+) -> Result<Mat> {
     let factor = RidgeFactor::new(g, lambda)?;
     let p = g.cols();
-    let mut out = Mat::zeros(b.cols(), p);
+    let mut out = Mat::zeros(count, p);
     if p == 0 {
         return Ok(out);
     }
-    // The dominant per-chunk cost is the GᵀB product: m·p per RHS column.
-    let threads = crate::par::effective_threads(threads, b.cols() * g.rows() * p);
+    // The dominant per-chunk cost is the GᵀB product: m·p per RHS.
+    let threads = crate::par::effective_threads(threads, count * g.rows() * p);
     par_chunks(out.as_mut_slice(), p, threads, |c0, chunk| {
         let width = chunk.len() / p;
-        let block = b.col_block(c0, c0 + width);
-        let gtb = g.t_matmul(&block).expect("shape pre-validated");
+        let gtb = g.t_matmul(&gather(c0, c0 + width)).expect("shape pre-validated");
         let x = factor.solve(&gtb).expect("shape pre-validated");
         for (i, out_row) in chunk.chunks_mut(p).enumerate() {
             for (j, o) in out_row.iter_mut().enumerate() {
@@ -371,39 +310,6 @@ mod tests {
             let par = ridge_solve_cols(&g, &b, 0.2, threads).unwrap();
             assert_eq!(par.as_slice(), serial.as_slice(), "threads={threads}");
         }
-    }
-
-    #[test]
-    fn blocked_rows_match_unblocked_for_any_partition() {
-        let mut rng = SeededRng::new(23);
-        let g = rng.uniform_mat(9, 4, 0.0, 2.0);
-        let b_rows = rng.uniform_mat(31, 9, 0.0, 5.0);
-        let whole = ridge_solve_rows(&g, &b_rows, 0.2, 1).unwrap();
-        for case in 0..40 {
-            // Random contiguous partition of 0..31, empty blocks allowed.
-            let mut cuts = vec![0usize, 31];
-            for _ in 0..rng.index(6) {
-                cuts.push(rng.index(32));
-            }
-            cuts.sort_unstable();
-            let blocks: Vec<(usize, usize)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
-            for threads in [1, 3, 8] {
-                let blocked = ridge_solve_rows_blocked(&g, &b_rows, 0.2, threads, &blocks).unwrap();
-                assert_eq!(
-                    blocked.as_slice(),
-                    whole.as_slice(),
-                    "case {case} blocks {blocks:?} threads {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "blocks must cover")]
-    fn blocked_rows_reject_short_partition() {
-        let g = Mat::zeros(3, 2);
-        let b_rows = Mat::zeros(5, 3);
-        let _ = ridge_solve_rows_blocked(&g, &b_rows, 0.1, 1, &[(0, 3)]);
     }
 
     #[test]

@@ -359,7 +359,7 @@ pub struct ScenarioSpec {
     /// scale-out knob: any value produces a bit-identical run (the sharded
     /// equivalence contract pinned by the runner's sharded verifier), so
     /// this never moves a golden — it only changes which per-shard indexes
-    /// and ALS batches back the run.
+    /// store the matrix.
     pub shards: usize,
     /// Probability that an issued offline probe fails at the transport
     /// level instead of returning a latency (chaos knob; 0 = off, the

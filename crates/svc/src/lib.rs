@@ -110,7 +110,7 @@ pub struct ServiceConfig {
     /// Probes issued per tick.
     pub batch: usize,
     /// Row-range shards of the workload matrix (1 = the unsharded engine;
-    /// N = the multi-tenant tier). A pure scale-out knob: the exploration
+    /// N = the multi-tenant tier). A pure storage knob: the exploration
     /// trace is bit-identical at every value.
     pub shards: usize,
 }

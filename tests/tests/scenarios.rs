@@ -506,7 +506,7 @@ fn scale_1m_tenant_count_never_moves_the_outcome() {
 #[ignore = "scale tier: the 1M-row scenarios take minutes; run via ./ci.sh --ignored"]
 fn scale_1m_metrics_stable_across_two_runs() {
     // Determinism at the 1M tier: a second, fresh run (its own environment
-    // build and per-shard ALS fan-out) must reproduce every metric and the
+    // build and ALS fan-out) must reproduce every metric and the
     // reported matrix footprint EXACTLY.
     let first = scale_outcome("scale-1m");
     let spec = limeqo_sim::scenario::by_name("scale-1m").expect("registered");
