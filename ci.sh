@@ -79,6 +79,20 @@ if grep -rnE '(^|[^[:alnum:]_"])unsafe +(\{|fn|impl|trait|extern)' crates --incl
   exit 1
 fi
 
+# No fused multiply-add: `mul_add` rounds once where the kernels' `a * b`
+# then `+` round twice, so it moves the bits that the determinism tests
+# and the goldens pin (one in a dot once failed two tests). The ALS row
+# loop's laned axpys invite exactly that rewrite. The grep matches a call
+# (`mul_add(`) in non-test code (above each file's #[cfg(test)] marker)
+# under crates/.
+echo "==> no-mul_add gate (non-test code under crates/)"
+for f in $(grep -rlE 'mul_add *\(' crates --include='*.rs' || true); do
+  if awk '/#\[cfg\(test\)\]/{exit} {print FNR": "$0}' "$f" | grep -E 'mul_add *\('; then
+    echo "ci.sh: $f calls mul_add in non-test code (see above)" >&2
+    exit 1
+  fi
+done
+
 # One row layout: the shard partition is the workload matrix's storage
 # decision. Every other module reads rows 0..n as if there were one shard,
 # so no non-test code under crates/ outside matrix.rs and store.rs (which
@@ -125,8 +139,14 @@ cargo test --offline -q -p limeqo-integration-tests --test scenarios
 # exact when all rows are dirty and deviation-bounded otherwise; and the
 # LimeQO-vs-Random invariant with incremental updates on. Exact zeros in
 # the factors and λ = 0 on rank-deficient factors are pinned at the
-# half-step by als.rs's unit tests (tier-1). Re-run under its own gate line
-# (like the golden suite) so a kernel divergence is named in CI output.
+# half-step by als.rs's unit tests (tier-1), and so are the kernel's
+# reorderings, each bit for bit against the order it replaced:
+# gram_is_t_matmul_bit_for_bit (the register Gram, with ±0.0, ±∞, NaN and
+# overflowing squares), row_loop_matches_the_dot_order_bit_for_bit (the
+# laned row sums, ranks 1–8, fixed and runtime rank) and
+# fused_clamp_is_clamp_min (the clamp in the row write, −0.0 and NaN).
+# Re-run under its own gate line (like the golden suite) so a kernel
+# divergence is named in CI output.
 echo "==> kernel-equivalence suite"
 cargo test --offline -q -p limeqo-integration-tests --test kernels
 

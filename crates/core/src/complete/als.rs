@@ -41,6 +41,16 @@
 //! ([`RidgeFactor::inverse`]) once, then applies the inverse to every
 //! factor row as an r×r matrix-vector product.
 //!
+//! The kernel is written for speed without changing its arithmetic. At the
+//! paper's rank the Gram matrix is summed on the stack, upper triangle
+//! only (`gram`); the row loop's two r×r products are r axpys laned
+//! across the outputs, not r dots; the non-negativity projection is applied
+//! as each output is written; and each factor has two buffers that swap
+//! every iteration, so a fit allocates them once. Every output runs the
+//! same floating-point operations in the same order as the plain form
+//! (`t_matmul`, dots, a separate `clamp_min` pass), and the unit tests pin
+//! each piece to it bit for bit.
+//!
 //! [`dense_reference`] keeps the three-pass dense form (`QHᵀ`, fill,
 //! batched ridge solve) as the reference the tests and `perf` compare
 //! against; `AlsCompleter` cannot select it. The two agree to rounding, and
@@ -227,18 +237,69 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).fold(0.0, |acc, (&x, &y)| acc + x * y)
 }
 
+/// `y += a·x`, lane by lane. Lane v of `Σᵤ xᵤ·Mᵀ[u]` summed this way from
+/// `+0.0` runs exactly the multiplies and adds of `dot(M[v], x)`, in the
+/// same order, because a product's bits do not depend on operand order.
+fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
+    for (y, &x) in y.iter_mut().zip(x) {
+        *y += a * x;
+    }
+}
+
+/// [`Mat::clamp_min`]`(0.0)`'s rule for one value: `−0.0` and NaN stay as
+/// they are (`f64::max` would turn NaN into 0).
+fn clamp_nonneg(v: f64) -> f64 {
+    if v < 0.0 {
+        0.0
+    } else {
+        v
+    }
+}
+
 /// The paper's rank, r = 5, which every benchmark workload runs. The
 /// half-step's row loop is also compiled with it as a constant, so that
 /// every r-long loop unrolls: a 10k × 49 fit then took 0.75–0.85× the time
 /// of the loop with the rank known only at run time. Both run the same
-/// operations in the same order.
+/// operations in the same order. [`gram`] sums in registers at this rank
+/// only.
 const FIXED_RANK: usize = 5;
 
-/// One ALS half-step in sparse-plus-low-rank form (see the module docs).
-/// Row `i` of the result is `(GᵀG + λI)⁻¹ ((GᵀG)fᵢ + Σⱼ sᵢⱼgⱼ)`, where `fᵢ`
-/// is row `i` of `own` (the factor being updated), `gⱼ` is row `j` of
-/// `other` (the factor held fixed), the sum runs over run `i` of `cells`,
-/// and `sᵢⱼ` is that cell's residual against the prediction `fᵢ·gⱼ`.
+/// `mᵀm`, bit for bit what [`Mat::t_matmul`] returns. At [`FIXED_RANK`] it
+/// sums only the upper triangle, on the stack, and mirrors it; other ranks
+/// call `t_matmul`.
+///
+/// `t_matmul` skips a term whose left entry is zero. Adding `+0.0` instead
+/// leaves a sum alone, because a sum started at `+0.0` is never `−0.0`.
+/// The mirror is exact while every entry is finite: then a zero times its
+/// partner is a zero too, whichever side skips it. A non-finite entry makes
+/// its column's diagonal non-finite (its terms are squares), and then the
+/// result is `t_matmul`'s own.
+fn gram(m: &Mat) -> limeqo_linalg::Result<Mat> {
+    const R: usize = FIXED_RANK;
+    if m.cols() != R {
+        return m.t_matmul(m);
+    }
+    let mut acc = [[0.0; R]; R];
+    for row in m.as_slice().chunks_exact(R) {
+        for (i, &a) in row.iter().enumerate() {
+            for (s, &b) in acc[i][i..].iter_mut().zip(&row[i..]) {
+                *s += if a == 0.0 { 0.0 } else { a * b };
+            }
+        }
+    }
+    if (0..R).any(|i| !acc[i][i].is_finite()) {
+        return m.t_matmul(m);
+    }
+    Ok(Mat::from_fn(R, R, |i, j| acc[i.min(j)][i.max(j)]))
+}
+
+/// One ALS half-step in sparse-plus-low-rank form (see the module docs),
+/// written into `out` (`own`'s shape; its contents are overwritten). Row
+/// `i` is `(GᵀG + λI)⁻¹ ((GᵀG)fᵢ + Σⱼ sᵢⱼgⱼ)`, where `fᵢ` is row `i` of
+/// `own` (the factor being updated), `gⱼ` is row `j` of `other` (the factor
+/// held fixed), the sum runs over run `i` of `cells`, and `sᵢⱼ` is that
+/// cell's residual against the prediction `fᵢ·gⱼ`. With `nonneg`, each
+/// output is projected onto `≥ 0` as it is written ([`clamp_nonneg`]).
 ///
 /// The output rows are split across `threads` workers. No row's arithmetic
 /// depends on the split. A singular normal matrix (possible only at λ = 0)
@@ -248,15 +309,18 @@ fn half_step(
     other: &Mat,
     cells: &Runs,
     lambda: f64,
+    nonneg: bool,
     threads: usize,
-) -> limeqo_linalg::Result<Mat> {
+    out: &mut Mat,
+) -> limeqo_linalg::Result<()> {
+    assert_eq!(out.shape(), own.shape(), "half-step output buffer");
     let r = own.cols();
-    let gram = other.t_matmul(other)?;
+    let gram = gram(other)?;
     let inv = RidgeFactor::from_gram(&gram, lambda)?.inverse();
-    let step = Step { own, other, cells, gram: &gram, inv: &inv };
-    let mut out = Mat::zeros(own.rows(), r);
+    let (gram_t, inv_t) = (gram.transpose(), inv.transpose());
+    let step = Step { own, other, cells, gram_t: &gram_t, inv_t: &inv_t, nonneg };
     if r == 0 {
-        return Ok(out);
+        return Ok(());
     }
     // Two r×r products per row and two r-long passes per cell.
     let work = 2 * r * (own.rows() * r + cells.entries.len());
@@ -264,18 +328,20 @@ fn half_step(
         FIXED_RANK => step.rows::<FIXED_RANK>(c0, chunk),
         _ => step.rows::<0>(c0, chunk),
     });
-    Ok(out)
+    Ok(())
 }
 
-/// The operands of one [`half_step`]: the Gram matrix `GᵀG` of `other` and
-/// the inverse of `GᵀG + λI`.
+/// The operands of one [`half_step`]: the transposes of the Gram matrix
+/// `GᵀG` of `other` and of the inverse of `GᵀG + λI`, so that the row loop
+/// adds whole rows of them (see [`axpy`]).
 #[derive(Clone, Copy)]
 struct Step<'a> {
     own: &'a Mat,
     other: &'a Mat,
     cells: &'a Runs,
-    gram: &'a Mat,
-    inv: &'a Mat,
+    gram_t: &'a Mat,
+    inv_t: &'a Mat,
+    nonneg: bool,
 }
 
 impl Step<'_> {
@@ -283,29 +349,32 @@ impl Step<'_> {
     /// rank when nonzero; `R = 0` reads it from `own` at run time.
     fn rows<const R: usize>(self, first: usize, chunk: &mut [f64]) {
         let r = if R == 0 { self.own.cols() } else { R };
-        // On the stack at a constant rank, so that it stays in registers.
-        let (mut fixed, mut sized) = ([0.0; R], Vec::new());
-        let rhs: &mut [f64] = if R == 0 {
-            sized.resize(r, 0.0);
-            &mut sized
+        // On the stack at a constant rank, so that they stay in registers.
+        let (mut fixed, mut sized) = ([[0.0; R]; 2], Vec::new());
+        let (rhs, x): (&mut [f64], &mut [f64]) = if R == 0 {
+            sized.resize(2 * r, 0.0);
+            sized.split_at_mut(r)
         } else {
-            &mut fixed
+            let [rhs, x] = &mut fixed;
+            (rhs, x)
         };
-        for (i, x) in chunk.chunks_exact_mut(r).enumerate() {
+        for (i, out) in chunk.chunks_exact_mut(r).enumerate() {
             let row = first + i;
             let f = &self.own.row(row)[..r];
-            for (v, gram_row) in rhs.iter_mut().zip(self.gram.as_slice().chunks_exact(r)) {
-                *v = dot(gram_row, f);
+            rhs.fill(0.0);
+            for (&fu, gram_col) in f.iter().zip(self.gram_t.as_slice().chunks_exact(r)) {
+                axpy(rhs, fu, gram_col);
             }
             for e in self.cells.run(row) {
                 let g = &self.other.row(e.at as usize)[..r];
-                let s = e.residual(dot(f, g));
-                for (v, &gt) in rhs.iter_mut().zip(g) {
-                    *v += s * gt;
-                }
+                axpy(rhs, e.residual(dot(f, g)), g);
             }
-            for (x, inv_row) in x.iter_mut().zip(self.inv.as_slice().chunks_exact(r)) {
-                *x = dot(inv_row, rhs);
+            x.fill(0.0);
+            for (&b, inv_col) in rhs.iter().zip(self.inv_t.as_slice().chunks_exact(r)) {
+                axpy(x, b, inv_col);
+            }
+            for (out, &v) in out.iter_mut().zip(x.iter()) {
+                *out = if self.nonneg { clamp_nonneg(v) } else { v };
             }
         }
     }
@@ -433,19 +502,18 @@ impl AlsCompleter {
             _ => (q_init, h_init),
         };
 
-        let (lambda, threads) = (self.lambda, self.threads);
+        let (lambda, nonneg, threads) = (self.lambda, self.nonneg, self.threads);
+        // Each half-step writes the other buffer of its pair, and the swap
+        // makes that the current factor: a fit allocates these two once.
+        let (mut q_next, mut h_next) = (Mat::zeros(n, r), Mat::zeros(k, r));
         for _ in 0..self.iters {
             // Q ← Ŵ H (HᵀH + λI)⁻¹ with Ŵ = QHᵀ + S: one r-dimensional
             // ridge system per query row.
-            q = half_step(&q, &h, &rows, lambda, threads).expect("Q update");
-            if self.nonneg {
-                q.clamp_min(0.0);
-            }
+            half_step(&q, &h, &rows, lambda, nonneg, threads, &mut q_next).expect("Q update");
+            std::mem::swap(&mut q, &mut q_next);
             // H ← Ŵᵀ Q (QᵀQ + λI)⁻¹ on the new Q: one system per hint.
-            h = half_step(&h, &q, &cols, lambda, threads).expect("H update");
-            if self.nonneg {
-                h.clamp_min(0.0);
-            }
+            half_step(&h, &q, &cols, lambda, nonneg, threads, &mut h_next).expect("H update");
+            std::mem::swap(&mut h, &mut h_next);
         }
         let completed = rows.fill(par::matmul_t(&q, &h, threads).expect("QHᵀ shape"));
         if self.warm_start {
@@ -533,13 +601,12 @@ impl AlsCompleter {
                 q_d.row_mut(i).copy_from_slice(q.row(row));
             }
             let dirty_cells = Runs::gather(wm, dirty.iter().copied(), self.censored);
-            let mut q_d = half_step(&q_d, &h, &dirty_cells, self.lambda, self.threads)
+            let mut fitted = Mat::zeros(dirty.len(), r);
+            let (lambda, nonneg, threads) = (self.lambda, self.nonneg, self.threads);
+            half_step(&q_d, &h, &dirty_cells, lambda, nonneg, threads, &mut fitted)
                 .expect("incremental Q update");
-            if self.nonneg {
-                q_d.clamp_min(0.0);
-            }
             for (i, &row) in dirty.iter().enumerate() {
-                q.row_mut(row).copy_from_slice(q_d.row(i));
+                q.row_mut(row).copy_from_slice(fitted.row(i));
             }
         }
         let rows = Runs::gather(wm, 0..n, self.censored);
@@ -823,6 +890,20 @@ mod tests {
         limeqo_linalg::ridge_solve_rows(other, &w_hat, lambda, 1)
     }
 
+    /// [`half_step`] into a fresh buffer of NaNs, so that a slot the step
+    /// fails to write shows.
+    fn step_into_nans(
+        own: &Mat,
+        other: &Mat,
+        cells: &Runs,
+        lambda: f64,
+        nonneg: bool,
+        threads: usize,
+    ) -> limeqo_linalg::Result<Mat> {
+        let mut out = Mat::filled(own.rows(), own.cols(), f64::NAN);
+        half_step(own, other, cells, lambda, nonneg, threads, &mut out).map(|()| out)
+    }
+
     /// A matrix observing a pattern the uniform draws elsewhere never reach:
     /// rows that hold only the default (column 0), fully observed rows, and
     /// mixed rows, with censored bounds of −0.0 and 0.0 (the matrix stores
@@ -878,13 +959,13 @@ mod tests {
             let rows = Runs::gather(&wm, 0..n, true);
             let cols = rows.transpose(k);
             for (own, other, cells) in [(&q, &h, &rows), (&h, &q, &cols)] {
-                let serial = half_step(own, other, cells, lambda, 1).unwrap();
+                let serial = step_into_nans(own, other, cells, lambda, false, 1).unwrap();
                 let dense = dense_half_step(own, other, cells, lambda).unwrap();
                 let rel = rel_frobenius(&serial, &dense);
                 assert!(rel <= DENSE_REFERENCE_TOL, "seed {seed} r {r}: relative distance {rel}");
                 // Fewer rows than threads: the same bits.
                 for threads in [1, 2, 8, 0] {
-                    let got = half_step(own, other, cells, lambda, threads).unwrap();
+                    let got = step_into_nans(own, other, cells, lambda, false, threads).unwrap();
                     assert_eq!(bits(&got), bits(&serial), "seed {seed} threads {threads}");
                 }
             }
@@ -907,7 +988,8 @@ mod tests {
             for (own, other, cells) in [(&q, &h, &rows), (&h, &q, &cols)] {
                 let gram = other.t_matmul(other).unwrap();
                 let inv = RidgeFactor::from_gram(&gram, 0.2).unwrap().inverse();
-                let step = Step { own, other, cells, gram: &gram, inv: &inv };
+                let (gram_t, inv_t) = (gram.transpose(), inv.transpose());
+                let step = Step { own, other, cells, gram_t: &gram_t, inv_t: &inv_t, nonneg: true };
                 let mut fixed = vec![0.0; own.len()];
                 let mut runtime = vec![0.0; own.len()];
                 step.rows::<FIXED_RANK>(0, &mut fixed);
@@ -915,6 +997,138 @@ mod tests {
                 assert_eq!(bits(&fixed), bits(&runtime), "seed {seed}");
             }
         }
+    }
+
+    #[test]
+    fn gram_is_t_matmul_bit_for_bit() {
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Entries the mirror cannot take: non-finite ones, and finite ones
+        // whose square overflows.
+        let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN, 1e200, -1e200];
+        let mut fallbacks = 0;
+        for seed in 0..60u64 {
+            for r in 1..=8 {
+                let mut rng = SeededRng::new(seed ^ 0x6_2A11 ^ ((r as u64) << 32));
+                let n = rng.index(41);
+                let mut m = rng.uniform_mat(n, r, -2.0, 2.0);
+                plant_zeros(&mut rng, &mut m, 0.3);
+                if seed % 3 == 0 {
+                    for v in m.as_mut_slice() {
+                        if rng.chance(0.05) {
+                            *v = specials[rng.index(specials.len())];
+                        }
+                    }
+                }
+                let want = m.t_matmul(&m).unwrap();
+                if r == FIXED_RANK && (0..r).any(|i| !want[(i, i)].is_finite()) {
+                    fallbacks += 1;
+                }
+                assert_eq!(bits(&gram(&m).unwrap()), bits(&want), "seed {seed} n {n} r {r}");
+            }
+        }
+        assert!(fallbacks > 0, "no rank-{FIXED_RANK} matrix took the fallback");
+    }
+
+    /// The row loop in dot order: each output is a `dot` of a row of `gram`
+    /// or `inv`. The laned loop must match it bit for bit.
+    fn dot_order_rows(own: &Mat, other: &Mat, cells: &Runs, gram: &Mat, inv: &Mat) -> Vec<f64> {
+        let r = own.cols();
+        let mut out = vec![0.0; own.len()];
+        let mut rhs = vec![0.0; r];
+        for (row, x) in out.chunks_exact_mut(r).enumerate() {
+            let f = own.row(row);
+            for (v, gram_row) in rhs.iter_mut().zip(gram.as_slice().chunks_exact(r)) {
+                *v = dot(gram_row, f);
+            }
+            for e in cells.run(row) {
+                let g = other.row(e.at as usize);
+                let s = e.residual(dot(f, g));
+                for (v, &gt) in rhs.iter_mut().zip(g) {
+                    *v += s * gt;
+                }
+            }
+            for (x, inv_row) in x.iter_mut().zip(inv.as_slice().chunks_exact(r)) {
+                *x = dot(inv_row, &rhs);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn row_loop_matches_the_dot_order_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in 0..30u64 {
+            for r in 1..=8 {
+                let mut rng = SeededRng::new(seed ^ 0xD07 ^ ((r as u64) << 32));
+                let (n, k) = (1 + rng.index(20), 1 + rng.index(12));
+                let mut q = rng.uniform_mat(n, r, 0.0, 2.0);
+                let mut h = rng.uniform_mat(k, r, 0.0, 2.0);
+                plant_zeros(&mut rng, &mut q, 0.3);
+                plant_zeros(&mut rng, &mut h, 0.3);
+                let wm = edge_case_matrix(&mut rng, &q.matmul_t(&h).unwrap());
+                let lambda = rng.uniform(0.05, 1.0);
+                let rows = Runs::gather(&wm, 0..n, true);
+                let cols = rows.transpose(k);
+                for (own, other, cells) in [(&q, &h, &rows), (&h, &q, &cols)] {
+                    let gram = other.t_matmul(other).unwrap();
+                    let inv = RidgeFactor::from_gram(&gram, lambda).unwrap().inverse();
+                    let want = bits(&dot_order_rows(own, other, cells, &gram, &inv));
+                    let (gram_t, inv_t) = (gram.transpose(), inv.transpose());
+                    let step =
+                        Step { own, other, cells, gram_t: &gram_t, inv_t: &inv_t, nonneg: false };
+                    let mut runtime = vec![f64::NAN; own.len()];
+                    step.rows::<0>(0, &mut runtime);
+                    assert_eq!(bits(&runtime), want, "seed {seed} r {r}: runtime rank");
+                    if r == FIXED_RANK {
+                        let mut fixed = vec![f64::NAN; own.len()];
+                        step.rows::<FIXED_RANK>(0, &mut fixed);
+                        assert_eq!(bits(&fixed), want, "seed {seed}: fixed rank");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_clamp_is_clamp_min() {
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // The kernel's sums start at +0.0, so no output is ever −0.0: the
+        // rule is checked on it, and on NaN, directly.
+        let values = [-0.0, 0.0, f64::NAN, -f64::NAN, -1.5, 1.5, f64::NEG_INFINITY, -1e-310];
+        let mut clamped = Mat::from_rows(&[&values]);
+        clamped.clamp_min(0.0);
+        let fused = Mat::from_rows(&[&values.map(clamp_nonneg)]);
+        assert_eq!(bits(&fused), bits(&clamped));
+        // Through the half-step: signed factors give negative outputs, and
+        // a NaN in one row of the factor being updated gives NaN outputs.
+        let (mut negatives, mut nans) = (0, 0);
+        for seed in 0..60u64 {
+            let mut rng = SeededRng::new(seed ^ 0xC1A3);
+            let (n, k, r) = (1 + rng.index(12), 1 + rng.index(12), 1 + rng.index(8));
+            let mut q = rng.uniform_mat(n, r, -2.0, 2.0);
+            let mut h = rng.uniform_mat(k, r, -2.0, 2.0);
+            plant_zeros(&mut rng, &mut q, 0.3);
+            plant_zeros(&mut rng, &mut h, 0.3);
+            // The matrix stores no negative bound.
+            let wm = edge_case_matrix(&mut rng, &q.matmul_t(&h).unwrap().map(f64::abs));
+            let lambda = rng.uniform(0.05, 1.0);
+            let rows = Runs::gather(&wm, 0..n, true);
+            let cols = rows.transpose(k);
+            for (own, other, cells) in [(&q, &h, &rows), (&h, &q, &cols)] {
+                let mut own = own.clone();
+                let at = (rng.index(own.rows()), rng.index(r));
+                own[at] = f64::NAN;
+                let mut want = step_into_nans(&own, other, cells, lambda, false, 1).unwrap();
+                negatives += want.as_slice().iter().filter(|&&v| v < 0.0).count();
+                nans += want.as_slice().iter().filter(|v| v.is_nan()).count();
+                want.clamp_min(0.0);
+                for threads in [1, 2] {
+                    let got = step_into_nans(&own, other, cells, lambda, true, threads).unwrap();
+                    assert_eq!(bits(&got), bits(&want), "seed {seed} threads {threads}");
+                }
+            }
+        }
+        assert!(negatives > 0 && nans > 0, "{negatives} negative and {nans} NaN outputs");
     }
 
     /// λ = 0 on a rank-deficient factor: rounding decides whether the normal
@@ -947,7 +1161,7 @@ mod tests {
             for (own, other, cells) in [(&q, &h, &rows), (&h, &q, &cols)] {
                 let want = outcome(dense_half_step(own, other, cells, 0.0));
                 for threads in [1, 2, 8] {
-                    let got = outcome(half_step(own, other, cells, 0.0, threads));
+                    let got = outcome(step_into_nans(own, other, cells, 0.0, false, threads));
                     assert_eq!(got, want, "seed {seed} threads {threads}");
                 }
             }

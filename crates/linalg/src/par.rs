@@ -32,10 +32,13 @@ pub fn resolve_threads(threads: usize) -> usize {
 }
 
 /// Below this many inner-loop multiply-adds, auto mode stays serial:
-/// spawning a scope of OS threads costs tens of microseconds, which
-/// dwarfs sub-threshold kernels (the fast scenario registry's matrices
-/// are this small). Purely a performance heuristic — chunked and serial
-/// execution are byte-identical either way.
+/// a scope that spawns two workers, as [`par_chunks`] does at two
+/// threads, took about 50 µs on an idle 2-vCPU Intel Xeon host (47–58 µs;
+/// one spawn plus the calling thread took 32–43 µs), and several times
+/// that while another build shared the host. That dwarfs sub-threshold
+/// kernels (the fast scenario registry's matrices are this small). Purely
+/// a performance heuristic — chunked and serial execution are
+/// byte-identical either way.
 pub const MIN_PAR_WORK: usize = 262_144;
 
 /// Worker count for a kernel performing roughly `work` multiply-adds:
