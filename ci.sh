@@ -108,6 +108,28 @@ for f in $(grep -rlE "$layout" crates --include='*.rs' || true); do
   fi
 done
 
+# One fork-join: limeqo_linalg::par (par_chunks, par_map) is the only code
+# that starts threads, so every parallel stage shares its partition, its
+# panic propagation and its thread-count resolution (0 asks the machine).
+# No non-test code under crates/ (above each file's #[cfg(test)] marker)
+# outside crates/linalg/src/par.rs names thread::scope, thread::spawn or
+# available_parallelism; comment lines are exempt. Every offending file is
+# named before the gate fails.
+echo "==> one fork-join gate (threads start only in crates/linalg/src/par.rs)"
+forkjoin='thread::(scope|spawn)|available_parallelism'
+forkjoin_bad=0
+for f in $(grep -rlE "$forkjoin" crates --include='*.rs' || true); do
+  [[ "$f" == crates/linalg/src/par.rs ]] && continue
+  if awk '/#\[cfg\(test\)\]/{exit} {print FNR": "$0}' "$f" | grep -vE '^[0-9]+: *//' |
+    grep -E "$forkjoin"; then
+    echo "ci.sh: $f starts threads outside limeqo_linalg::par (see above)" >&2
+    forkjoin_bad=1
+  fi
+done
+if [[ "$forkjoin_bad" -ne 0 ]]; then
+  exit 1
+fi
+
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

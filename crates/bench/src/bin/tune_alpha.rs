@@ -1,5 +1,5 @@
 //! Sweep Algorithm 1's timeout multiplier α on JOB and CEB-small to pick
-//! the default (diagnostic; result recorded in DESIGN.md).
+//! the default (diagnostic).
 
 use limeqo_bench::harness::{build_oracle, WorkloadKind};
 use limeqo_bench::report::fmt_secs;

@@ -5,7 +5,7 @@
 //! variance (the paper's LimeQO+ with censoring needed 0.5 h of
 //! exploration for the 2× reduction vs 0.9 h without — a 1.8× gap).
 //!
-//! Extra ablations beyond the paper (DESIGN.md §6): `--nonneg` also runs
+//! Extra ablations beyond the paper: `--nonneg` also runs
 //! ALS without the non-negativity projection; `--alphas` sweeps the
 //! timeout multiplier α.
 

@@ -113,7 +113,7 @@ impl FigOpts {
 
     /// Workload down-scaling for exploration experiments. Full runs use the
     /// paper's query counts; the default keeps neural experiments tractable
-    /// on CPU (recorded in EXPERIMENTS.md).
+    /// on CPU.
     pub fn scale_for(&self, kind: WorkloadKind) -> f64 {
         if self.full {
             return 1.0;

@@ -1,8 +1,8 @@
 //! Workload construction and multi-seed technique runs.
 //!
 //! Figure binaries all follow the same pattern: build a workload oracle
-//! (cached in-process), run each technique for several seeds with crossbeam
-//! fan-out, and sample the curves at the paper's budget multiples.
+//! (cached in-process), run each technique for several seeds, one worker
+//! per seed, and sample the curves at the paper's budget multiples.
 
 use limeqo_core::explore::{ExploreConfig, Explorer, MatOracle};
 use limeqo_core::metrics::Curve;
@@ -11,6 +11,7 @@ use limeqo_core::policy::{
     RandomPolicy,
 };
 use limeqo_core::AlsCompleter;
+use limeqo_linalg::par::par_map;
 use limeqo_sim::workloads::{OracleMatrices, Workload, WorkloadSpec};
 use limeqo_tcnn::{PlainTcnnCompleter, TcnnConfig, TransductiveTcnnCompleter};
 
@@ -227,25 +228,9 @@ pub fn run_techniques(
     seeds: &[u64],
     tcnn_cfg: &TcnnConfig,
 ) -> Vec<Curve> {
-    let mut out: Vec<Option<Curve>> = vec![None; seeds.len()];
-    crossbeam::thread::scope(|scope| {
-        for (slot, &seed) in out.iter_mut().zip(seeds.iter()) {
-            scope.spawn(move |_| {
-                *slot = Some(run_technique(
-                    technique,
-                    workload,
-                    oracle,
-                    time_budget,
-                    batch,
-                    rank,
-                    seed,
-                    tcnn_cfg,
-                ));
-            });
-        }
+    par_map(seeds.len(), seeds.len(), |i| {
+        run_technique(technique, workload, oracle, time_budget, batch, rank, seeds[i], tcnn_cfg)
     })
-    .expect("seed fan-out");
-    out.into_iter().map(|c| c.expect("curve")).collect()
 }
 
 /// Run the BayesQO baseline (per-query budgets; §5.6).

@@ -2,7 +2,7 @@
 //! LimeQO paper.
 //!
 //! * [`harness`] — workload construction (with caching), technique
-//!   registry, multi-seed exploration runs with crossbeam fan-out,
+//!   registry, multi-seed exploration runs, one worker per seed,
 //! * [`scenario_runner`] — executes the declarative scenario matrix of
 //!   `limeqo-sim::scenario` (drift schedules, hint shapes, online
 //!   arrivals) and aggregates deterministic summaries for the golden
@@ -15,8 +15,7 @@
 //! * [`perf`] — the tracked perf trajectory: one-shot hot-path
 //!   measurements emitted as `bench-results/BENCH_policy.json`
 //!   (see PERF.md at the workspace root),
-//! * one binary per table/figure in `src/bin/` (see DESIGN.md §5),
-//! * Criterion benches in `benches/` for the computational-overhead axes.
+//! * one binary per table/figure in `src/bin/`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -2,8 +2,8 @@
 //!
 //! Every figure binary prints a human-readable table (paper value next to
 //! measured value where the paper states one) and writes the raw series as
-//! CSV under `bench-results/` so EXPERIMENTS.md can reference them. JSON
-//! documents go through [`Json`], the workspace's one codec.
+//! CSV under `bench-results/`. JSON documents go through [`Json`], the
+//! workspace's one codec.
 
 use std::fmt::Write as _;
 use std::fs;

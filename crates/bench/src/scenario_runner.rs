@@ -1,17 +1,19 @@
 //! Executes declarative scenarios: builds the environment (oracle chain
-//! across drift events, hint-shaped), fans seeded runs out with crossbeam,
-//! and aggregates a deterministic [`ScenarioOutcome`] per scenario.
+//! across drift events, hint-shaped), fans seeded runs out with
+//! [`par_map`], one worker per seed, and aggregates a deterministic
+//! [`ScenarioOutcome`] per scenario.
 //!
 //! Everything a golden file pins must be reproducible bit for bit, so the
 //! outcome deliberately excludes wall-clock quantities (the policy
 //! overhead metering of Figs. 7/13 stays in the figure harness). Seed
-//! fan-out writes into pre-sized slots and aggregates in seed order, so
+//! runs come back in seed order and are aggregated in that order, so
 //! thread scheduling cannot reorder the arithmetic.
 
 use crate::report::Json;
 use limeqo_core::explore::{ExploreConfig, Explorer, MatOracle, Oracle, TraceEntry};
 use limeqo_core::online::OnlineExplorer;
 use limeqo_core::scenario::{segment_monotone, PolicySpec};
+use limeqo_linalg::par::par_map;
 use limeqo_linalg::Mat;
 use limeqo_sim::drift::{build_oracle_uncalibrated, drift_workload};
 use limeqo_sim::scenario::{DriftKind, ScenarioSpec, ScenarioWorkload};
@@ -376,15 +378,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     };
 
     if spec.policy.is_online() {
-        let mut slots: Vec<Option<OnlineSeed>> = (0..spec.seeds.len()).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
-            for (slot, &seed) in slots.iter_mut().zip(spec.seeds.iter()) {
-                let env = &env;
-                scope.spawn(move |_| *slot = Some(run_online_seed(spec, env, seed)));
-            }
-        })
-        .expect("online seed fan-out");
-        let runs: Vec<OnlineSeed> = slots.into_iter().map(|s| s.expect("seed ran")).collect();
+        let seeds = spec.seeds.len();
+        let runs = par_map(seeds, seeds, |i| run_online_seed(spec, &env, spec.seeds[i]));
         outcome.mem_bytes = runs.iter().map(|r| r.mem_bytes).max().unwrap_or(0) as u64;
         outcome.cells_executed = mean(&runs.iter().map(|r| r.cells as f64).collect::<Vec<_>>());
         outcome.censored_cells = mean(&runs.iter().map(|r| r.censored as f64).collect::<Vec<_>>());
@@ -415,16 +410,9 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
 
     // Offline: the spec's policy plus a Random reference at equal budget.
     let random = PolicySpec::Random;
-    let run_all = |policy: &PolicySpec| -> Vec<OfflineSeed> {
-        let mut slots: Vec<Option<OfflineSeed>> = (0..spec.seeds.len()).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
-            for (slot, &seed) in slots.iter_mut().zip(spec.seeds.iter()) {
-                let env = &env;
-                scope.spawn(move |_| *slot = Some(run_offline_seed(spec, env, policy, seed)));
-            }
-        })
-        .expect("offline seed fan-out");
-        slots.into_iter().map(|s| s.expect("seed ran")).collect()
+    let run_all = |policy: &PolicySpec| {
+        let seeds = spec.seeds.len();
+        par_map(seeds, seeds, |i| run_offline_seed(spec, &env, policy, spec.seeds[i]))
     };
     let runs = run_all(&spec.policy);
     outcome.seed_final_latencies = runs.iter().map(|r| r.final_latency).collect();
@@ -520,17 +508,10 @@ pub fn verify_scenario_sharded(spec: &ScenarioSpec, shards: usize) -> Result<(),
     Ok(())
 }
 
-/// Run many scenarios crossbeam-parallel (each scenario also fans its
-/// seeds out); results come back in input order.
+/// Run many scenarios in parallel, one worker per scenario (each scenario
+/// also fans its seeds out); results come back in input order.
 pub fn run_scenarios(specs: &[ScenarioSpec]) -> Vec<ScenarioOutcome> {
-    let mut slots: Vec<Option<ScenarioOutcome>> = (0..specs.len()).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        for (slot, spec) in slots.iter_mut().zip(specs.iter()) {
-            scope.spawn(move |_| *slot = Some(run_scenario(spec)));
-        }
-    })
-    .expect("scenario fan-out");
-    slots.into_iter().map(|s| s.expect("scenario ran")).collect()
+    par_map(specs.len(), specs.len(), |i| run_scenario(&specs[i]))
 }
 
 /// The whole report as a JSON array (one object per scenario).

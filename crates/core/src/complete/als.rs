@@ -60,8 +60,9 @@
 //!
 //! Each half-step is independent per output row: the `Q` update solves one
 //! r-dimensional ridge system per *query*, the `H` update one per *hint*.
-//! [`AlsCompleter::threads`] splits the output rows across crossbeam scoped
-//! workers, each writing only its own pre-allocated rows. The Gram matrices
+//! [`AlsCompleter::threads`] splits the output rows across
+//! `limeqo_linalg::par::par_chunks` workers, each writing only its own
+//! pre-allocated rows. The Gram matrices
 //! `HᵀH` and `QᵀQ` are each one fixed-order reduction, formed before the
 //! split, and the `H` update reads each hint's cells from a column-major
 //! copy of the gathered cells, summed over rows in ascending order. So every

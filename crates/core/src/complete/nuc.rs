@@ -5,9 +5,9 @@
 //! practical solver at workload-matrix scale is Soft-Impute (Mazumder,
 //! Hastie & Tibshirani 2010), the proximal-gradient iteration
 //! `Xₜ₊₁ = shrink_λ(M ⊙ W̃ + (1−M) ⊙ Xₜ)` for the nuclear-norm-regularized
-//! objective. The substitution is recorded in DESIGN.md §3: same objective,
-//! tractable algorithm. As the paper observes for NUC, accuracy is good but
-//! the per-iteration SVD makes it markedly slower than ALS.
+//! objective: same objective, tractable algorithm. As the paper observes
+//! for NUC, accuracy is good but the per-iteration SVD makes it markedly
+//! slower than ALS.
 
 use super::{fill_estimate, Completer};
 use crate::matrix::WorkloadMatrix;

@@ -138,9 +138,6 @@ pub enum Action {
         /// Latency the arrival experienced.
         latency: f64,
     },
-    /// The completion model was re-fit on the current matrix. Informational:
-    /// lets a service surface refresh cadence without polling.
-    ModelRefreshed,
 }
 
 /// An issued online gamble awaiting its observation.
@@ -515,7 +512,6 @@ impl<'a> Engine<'a> {
                     .complete(self.store.matrix()),
             );
             self.overhead += started.elapsed().as_secs_f64();
-            actions.push(Action::ModelRefreshed);
         }
         self.since_refresh += 1;
         let pred = self.predictions.as_ref().expect("predictions fresh");
@@ -553,6 +549,8 @@ impl<'a> Engine<'a> {
         for (i, &d) in defaults.iter().enumerate() {
             self.store.record_complete(base + i, WorkloadMatrix::DEFAULT_HINT, d);
         }
+        // Predictions cover the old rows only: the next gamble re-fits.
+        self.predictions = None;
         Vec::new()
     }
 
@@ -885,5 +883,21 @@ mod tests {
         let before = footprint(&e);
         e.step(Event::Observation { row, col: other, value: 2.0, censored: false });
         assert_eq!(footprint(&e), before, "a non-gamble observation online");
+    }
+
+    #[test]
+    fn a_gamble_on_an_appended_row_refits_first() {
+        // Predictions fitted at 4 rows must not serve rows added after them,
+        // even while the refresh period has not run out.
+        let store = ObservationStore::with_defaults(&[10.0, 8.0, 12.0, 9.0], 4);
+        let cfg = OnlineConfig { explore_prob: 1.0, ..Default::default() };
+        let mut e = Engine::online(store, Box::new(FlatCompleter(1.0)), &cfg);
+        let (row, col, timeout) =
+            first_probe(&e.step(Event::Arrival { row: 0 })).expect("a gamble");
+        e.step(execute_probe(row, col, timeout, 2.0));
+        e.step(Event::AddQueries { defaults: vec![7.0, 11.0] });
+        let (row, col, _) = first_probe(&e.step(Event::Arrival { row: 5 })).expect("a gamble");
+        assert_eq!(row, 5);
+        assert_ne!(col, WorkloadMatrix::DEFAULT_HINT);
     }
 }

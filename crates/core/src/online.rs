@@ -143,7 +143,6 @@ impl<'a> OnlineExplorer<'a> {
                     }
                 }
                 Action::Recommend { latency, .. } => experienced = Some(latency),
-                Action::ModelRefreshed => {}
             }
         }
         experienced.expect("an arrival always resolves to a recommendation")

@@ -46,7 +46,7 @@ use crate::complete::Completer;
 use crate::matrix::Cell;
 use limeqo_linalg::rng::SeededRng;
 
-/// How Algorithm 1 scores candidate queries (DESIGN.md §6 ablation).
+/// How Algorithm 1 scores candidate queries (an ablation beyond the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScoreMode {
     /// The paper's expected improvement ratio (Eq. 6):

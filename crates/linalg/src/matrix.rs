@@ -97,11 +97,6 @@ impl Mat {
         Mat { rows, cols, data }
     }
 
-    /// Build a column vector (n×1 matrix) from a slice.
-    pub fn col_vec(values: &[f64]) -> Self {
-        Mat { rows: values.len(), cols: 1, data: values.to_vec() }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -142,11 +137,6 @@ impl Mat {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consume the matrix and return its backing storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Immutable view of row `r`.

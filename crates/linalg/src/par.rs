@@ -1,4 +1,5 @@
-//! Deterministic fork-join helpers for the parallel completion engine.
+//! Deterministic fork-join helpers: the workspace's only code that starts
+//! threads.
 //!
 //! Everything here obeys one **determinism contract** (see PERF.md at the
 //! workspace root): work is partitioned into disjoint, contiguous chunks of
@@ -9,9 +10,13 @@
 //! so results are byte-identical at any thread count, including 1. No
 //! helper performs a cross-chunk reduction.
 //!
-//! Threads come from [`crossbeam::thread::scope`] (scoped borrows, panics
-//! propagated), matching the seed fan-out pattern the bench scenario
-//! runner established.
+//! Two entry points serve every parallel stage: [`par_chunks`] hands each
+//! worker a contiguous run of caller-allocated slots of any `Send` type
+//! (ALS factor rows, the simulator's per-query oracle rows), and
+//! [`par_map`] returns `f(0), …, f(len - 1)` in index order (TCNN gradient
+//! shards and inference chunks, plan featurization, seed and scenario
+//! fan-outs). Threads come from [`crossbeam::thread::scope`]: borrows are
+//! scoped, and a worker's panic propagates to the caller.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Mat;
@@ -80,9 +85,10 @@ pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<(usize, usize)> {
 /// Each invocation of `f` owns its chunk exclusively — this is the
 /// "pre-allocated slots" half of the determinism contract. `f` must compute
 /// every element the same way regardless of which chunk it lands in.
-pub fn par_chunks<F>(out: &mut [f64], unit: usize, threads: usize, f: F)
+pub fn par_chunks<T, F>(out: &mut [T], unit: usize, threads: usize, f: F)
 where
-    F: Fn(usize, &mut [f64]) + Sync,
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
 {
     if out.is_empty() {
         return;
@@ -105,6 +111,29 @@ where
         }
     })
     .expect("parallel chunk fan-out");
+}
+
+/// `(0..len).map(f)` across at most `threads` workers (`0` asks the
+/// machine), returned in index order. Each worker evaluates one contiguous
+/// index range of [`chunk_ranges`] into its own slot of [`par_chunks`], so
+/// the result equals the serial map at any thread count.
+pub fn par_map<T, F>(len: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let ranges = chunk_ranges(len, resolve_threads(threads));
+    let mut parts: Vec<Vec<T>> = ranges.iter().map(|_| Vec::new()).collect();
+    par_chunks(&mut parts, 1, ranges.len(), |first, chunk| {
+        for (part, &(start, end)) in chunk.iter_mut().zip(&ranges[first..]) {
+            *part = (start..end).map(&f).collect();
+        }
+    });
+    let mut out = Vec::with_capacity(len);
+    for part in parts {
+        out.extend(part);
+    }
+    out
 }
 
 /// `a * bᵀ`, row-partitioned across `threads` workers.
@@ -173,6 +202,38 @@ mod tests {
         });
         let want: Vec<f64> = (0..12).map(|i| i as f64).collect();
         assert_eq!(out, want);
+    }
+
+    #[test]
+    fn par_chunks_fills_non_f64_slots() {
+        // Slots borrowing rows of two caller-allocated vectors, as the
+        // simulator's oracle build uses them.
+        let mut left = vec![0u32; 10];
+        let mut right = vec![String::new(); 5];
+        let mut slots: Vec<_> = left.chunks_mut(2).zip(right.iter_mut()).collect();
+        par_chunks(&mut slots, 1, 3, |first, chunk| {
+            for (i, (row, name)) in chunk.iter_mut().enumerate() {
+                row.fill((first + i) as u32);
+                **name = format!("row {}", first + i);
+            }
+        });
+        drop(slots);
+        assert_eq!(left, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]);
+        assert_eq!(right, ["row 0", "row 1", "row 2", "row 3", "row 4"]);
+    }
+
+    #[test]
+    fn par_map_returns_index_order() {
+        // Empty input, fewer items than workers, and uneven splits.
+        for threads in [0, 1, 2, 3, 8] {
+            for len in [0, 1, 2, 5, 17] {
+                let want: Vec<String> = (0..len).map(|i| i.to_string()).collect();
+                assert_eq!(par_map(len, threads, |i| i.to_string()), want, "{threads}, {len}");
+            }
+        }
+        // Three items at three threads run on three distinct workers.
+        let ids = par_map(3, 3, |_| std::thread::current().id());
+        assert!(ids[0] != ids[1] && ids[1] != ids[2] && ids[0] != ids[2]);
     }
 
     #[test]

@@ -72,20 +72,6 @@ impl HintConfig {
         }
     }
 
-    /// ±1 feature encoding of the six knobs, used by the BayesQO baseline's
-    /// surrogate model and by diagnostics.
-    pub fn feature_vec(&self) -> [f64; 6] {
-        let f = |b: bool| if b { 1.0 } else { -1.0 };
-        [
-            f(self.hash_join),
-            f(self.merge_join),
-            f(self.nest_loop),
-            f(self.seq_scan),
-            f(self.index_scan),
-            f(self.index_only_scan),
-        ]
-    }
-
     /// Short human-readable tag, e.g. `hm-s-i` (enabled initials, `-` for
     /// disabled), in knob order hash/merge/nestloop/seq/index/indexonly.
     pub fn tag(&self) -> String {
@@ -145,11 +131,6 @@ impl HintSpace {
     /// All configurations in order.
     pub fn configs(&self) -> &[HintConfig] {
         &self.configs
-    }
-
-    /// Index of the default hint (always 0).
-    pub fn default_index(&self) -> usize {
-        0
     }
 
     /// Restrict the space to the configurations at `indices` (scenario

@@ -3,7 +3,7 @@
 //! The paper evaluates against PostgreSQL 16.1 on the IMDb, StackExchange,
 //! and DSB datasets. This crate replaces that stack with a self-contained,
 //! deterministic simulator that preserves everything LimeQO actually relies
-//! on (see DESIGN.md §3):
+//! on:
 //!
 //! * a **catalog** of tables with row counts, widths, index metadata and
 //!   statistics ([`catalog`]),

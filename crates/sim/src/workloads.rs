@@ -13,7 +13,7 @@
 //! calibrates the simulator's machine speed
 //! ([`crate::cost::CostParams::time_per_cost_unit`]) so the default-hint
 //! total matches Table 1 exactly. The *optimal* total and the per-hint
-//! structure are emergent, recorded in EXPERIMENTS.md.
+//! structure are emergent.
 //!
 //! [`Workload::build_oracle`] plans and "executes" every (query, hint) cell
 //! in parallel, producing the full true-latency matrix `W` (which real
@@ -27,6 +27,7 @@ use crate::hints::HintSpace;
 use crate::optimizer::Optimizer;
 use crate::plan::PlanTree;
 use crate::query::{generate_query, JoinShape, Query, QueryClass, QueryGenParams};
+use limeqo_linalg::par::par_chunks;
 use limeqo_linalg::rng::SeededRng;
 use limeqo_linalg::Mat;
 
@@ -451,7 +452,7 @@ impl Workload {
 
     /// Plan and execute every cell, calibrating the machine-speed constant
     /// so the default-hint total equals the spec target. Parallelized over
-    /// queries with scoped threads.
+    /// queries with [`par_chunks`].
     pub fn build_oracle(&mut self) -> OracleMatrices {
         let n = self.n();
         let k = self.k();
@@ -459,45 +460,24 @@ impl Workload {
         let mut cost_units = vec![0.0f64; n * k];
         let mut noise = vec![0.0f64; n * k];
         let mut est_cost = vec![0.0f64; n * k];
-
-        let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-        let chunk = (n + threads - 1) / threads.max(1);
-        let catalog = &self.catalog;
-        let hints = &self.hints;
-        let queries = &self.queries;
-
-        crossbeam::thread::scope(|scope| {
-            let mut cu_rest: &mut [f64] = &mut cost_units;
-            let mut nz_rest: &mut [f64] = &mut noise;
-            let mut ec_rest: &mut [f64] = &mut est_cost;
-            let mut start = 0usize;
-            while start < n {
-                let rows = chunk.min(n - start);
-                let (cu, cu_next) = cu_rest.split_at_mut(rows * k);
-                let (nz, nz_next) = nz_rest.split_at_mut(rows * k);
-                let (ec, ec_next) = ec_rest.split_at_mut(rows * k);
-                cu_rest = cu_next;
-                nz_rest = nz_next;
-                ec_rest = ec_next;
-                let q_slice = &queries[start..start + rows];
-                scope.spawn(move |_| {
-                    let opt = Optimizer::new(catalog);
-                    let exec = Executor::new(catalog);
-                    for (r, q) in q_slice.iter().enumerate() {
-                        for h in 0..k {
-                            let mut plan = opt.plan(q, hints.get(h));
-                            let est = plan.est();
-                            let stats = exec.annotate_true(&mut plan, q);
-                            cu[r * k + h] = stats.cost;
-                            nz[r * k + h] = crate::executor::noise_factor(q.noise_seed, h);
-                            ec[r * k + h] = est.cost;
-                        }
-                    }
-                });
-                start += rows;
+        // One slot per query: its rows of the three vectors.
+        let mut slots: Vec<_> =
+            cost_units.chunks_mut(k).zip(noise.chunks_mut(k)).zip(est_cost.chunks_mut(k)).collect();
+        let (catalog, hints, queries) = (&self.catalog, &self.hints, &self.queries);
+        par_chunks(&mut slots, 1, 0, |first, chunk| {
+            let opt = Optimizer::new(catalog);
+            let exec = Executor::new(catalog);
+            for (((cu, nz), ec), q) in chunk.iter_mut().zip(&queries[first..]) {
+                for h in 0..k {
+                    let mut plan = opt.plan(q, hints.get(h));
+                    let est = plan.est();
+                    let stats = exec.annotate_true(&mut plan, q);
+                    cu[h] = stats.cost;
+                    nz[h] = crate::executor::noise_factor(q.noise_seed, h);
+                    ec[h] = est.cost;
+                }
             }
-        })
-        .expect("oracle build threads");
+        });
 
         // Calibrate seconds-per-cost-unit against the default column:
         //   target = Σ_i etl_i + noise_i0·(cu_i0·tpu + STARTUP)

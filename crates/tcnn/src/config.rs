@@ -9,9 +9,8 @@
 /// decrease in training loss of less than 1% over 10 epochs)."
 ///
 /// Defaults below keep those training rules but shrink the convolution
-/// channels from Bao's 256/128/64 so the full experiment suite runs on CPU
-/// in this environment (see DESIGN.md §3.6). [`TcnnConfig::paper_scale`]
-/// restores Bao-size channels.
+/// channels from Bao's 256/128/64 so the full experiment suite runs on a
+/// CPU. [`TcnnConfig::paper_scale`] restores Bao-size channels.
 #[derive(Debug, Clone)]
 pub struct TcnnConfig {
     /// Output channels of the three tree-convolution layers.
@@ -89,11 +88,7 @@ impl TcnnConfig {
 
     /// Resolved worker thread count.
     pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4)
-        }
+        limeqo_linalg::par::resolve_threads(self.threads)
     }
 }
 

@@ -8,6 +8,7 @@
 //! need, and it is the reason the neural variant is tied to the DBMS while
 //! the linear one is not.
 
+use limeqo_linalg::par::par_map;
 use limeqo_sim::features::{featurize_plan, FeatureNorm, PlanFeatures};
 use limeqo_sim::workloads::Workload;
 use std::sync::Arc;
@@ -36,34 +37,10 @@ impl WorkloadFeatures {
             .collect();
         let norm = FeatureNorm::fit(&sample);
 
-        let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-        let mut trees: Vec<Option<PlanFeatures>> = vec![None; n * k];
-        let chunk = ((n * k) + threads - 1) / threads.max(1);
-        crossbeam::thread::scope(|scope| {
-            let mut rest: &mut [Option<PlanFeatures>] = &mut trees;
-            let mut start = 0usize;
-            while start < n * k {
-                let len = chunk.min(n * k - start);
-                let (here, next) = rest.split_at_mut(len);
-                rest = next;
-                let begin = start;
-                scope.spawn(move |_| {
-                    for (off, slot) in here.iter_mut().enumerate() {
-                        let cell = begin + off;
-                        let plan = workload.plan_cell(cell / k, cell % k);
-                        *slot = Some(featurize_plan(&plan, &norm));
-                    }
-                });
-                start += len;
-            }
-        })
-        .expect("featurization threads");
-        Arc::new(WorkloadFeatures {
-            n,
-            k,
-            trees: trees.into_iter().map(|t| t.expect("featurized")).collect(),
-            norm,
-        })
+        let trees = par_map(n * k, 0, |cell| {
+            featurize_plan(&workload.plan_cell(cell / k, cell % k), &norm)
+        });
+        Arc::new(WorkloadFeatures { n, k, trees, norm })
     }
 
     /// Tree for cell (row, col).

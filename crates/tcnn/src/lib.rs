@@ -14,15 +14,15 @@
 //!   (`1{ŷ<τ} · (ŷ−τ)²` for timed-out cells),
 //! * [`adam`] — the Adam optimizer,
 //! * [`trainer`] — minibatch training with the paper's convergence rule
-//!   and crossbeam data-parallel gradient shards,
+//!   and data-parallel gradient shards,
 //! * [`features`] — per-workload featurization of all (query, hint) plans,
 //! * [`completer`] — [`PlainTcnnCompleter`] (Bao-style TCNN) and
 //!   [`TransductiveTcnnCompleter`] (LimeQO+) implementing
 //!   `limeqo_core::Completer`, so Algorithm 1 can swap them in directly.
 //!
 //! Channel widths default smaller than Bao's 256/128/64 to keep the full
-//! experiment suite tractable on CPU (see DESIGN.md §3.6); the widths are
-//! configurable through [`TcnnConfig`].
+//! experiment suite tractable on CPU; the widths are configurable through
+//! [`TcnnConfig`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -18,6 +18,7 @@ use crate::features::WorkloadFeatures;
 use crate::loss::{loss_and_grad, LatencyTransform, Target};
 use crate::net::{TcnnNet, Tensors};
 use limeqo_core::matrix::{Cell, WorkloadMatrix};
+use limeqo_linalg::par::par_map;
 use limeqo_linalg::rng::SeededRng;
 use limeqo_linalg::Mat;
 
@@ -178,42 +179,31 @@ impl TcnnTrainer {
         // Thread-spawn overhead outweighs the work for small batches;
         // shard only when each worker gets a meaningful slice.
         let shard_count = threads.min(chunk.len() / 16).max(1);
-        let per = chunk.len().div_ceil(shard_count);
-        // ceil division above can make the final shards empty; size the
-        // result buffer by the actual number of chunks produced.
-        let actual_shards = chunk.len().div_ceil(per);
+        let shards: Vec<&[usize]> = chunk.chunks(chunk.len().div_ceil(shard_count)).collect();
         let net = &self.net;
         let base_seed = self.rng.raw_seed_for(epoch as u64, batch_idx as u64);
-        let mut results: Vec<Option<(Tensors, f64)>> = vec![None; actual_shards];
-        crossbeam::thread::scope(|scope| {
-            for (shard_idx, (shard, slot)) in chunk.chunks(per).zip(results.iter_mut()).enumerate()
-            {
-                scope.spawn(move |_| {
-                    let mut rng =
-                        SeededRng::new(base_seed ^ (shard_idx as u64).wrapping_mul(0x9E3779B9));
-                    let trees: Vec<_> = shard
-                        .iter()
-                        .map(|&i| features.tree(samples[i].row, samples[i].col))
-                        .collect();
-                    let batch = TreeBatch::build(&trees);
-                    let qidx: Vec<usize> = shard.iter().map(|&i| samples[i].row).collect();
-                    let hidx: Vec<usize> = shard.iter().map(|&i| samples[i].col).collect();
-                    let (preds, cache) = net.forward(&batch, &qidx, &hidx, Some(&mut rng));
-                    let mut d_preds = vec![0.0; preds.len()];
-                    let mut loss_sum = 0.0;
-                    for (j, &i) in shard.iter().enumerate() {
-                        let (l, g) = loss_and_grad(preds[j], samples[i].target);
-                        loss_sum += l;
-                        d_preds[j] = g;
-                    }
-                    let mut grads = net.weights.zeros_like();
-                    net.backward(&batch, &qidx, &hidx, &cache, &d_preds, &mut grads);
-                    *slot = Some((grads, loss_sum));
-                });
+        // One worker per shard.
+        let results = par_map(shards.len(), shards.len(), |shard_idx| {
+            let shard = shards[shard_idx];
+            let mut rng = SeededRng::new(base_seed ^ (shard_idx as u64).wrapping_mul(0x9E3779B9));
+            let trees: Vec<_> =
+                shard.iter().map(|&i| features.tree(samples[i].row, samples[i].col)).collect();
+            let batch = TreeBatch::build(&trees);
+            let qidx: Vec<usize> = shard.iter().map(|&i| samples[i].row).collect();
+            let hidx: Vec<usize> = shard.iter().map(|&i| samples[i].col).collect();
+            let (preds, cache) = net.forward(&batch, &qidx, &hidx, Some(&mut rng));
+            let mut d_preds = vec![0.0; preds.len()];
+            let mut loss_sum = 0.0;
+            for (j, &i) in shard.iter().enumerate() {
+                let (l, g) = loss_and_grad(preds[j], samples[i].target);
+                loss_sum += l;
+                d_preds[j] = g;
             }
-        })
-        .expect("gradient shards");
-        let mut iter = results.into_iter().map(|r| r.expect("shard result"));
+            let mut grads = net.weights.zeros_like();
+            net.backward(&batch, &qidx, &hidx, &cache, &d_preds, &mut grads);
+            (grads, loss_sum)
+        });
+        let mut iter = results.into_iter();
         let (mut grads, mut loss) = iter.next().expect("at least one shard");
         for (g, l) in iter {
             grads.add_assign(&g);
@@ -256,34 +246,17 @@ impl TcnnTrainer {
         tf: LatencyTransform,
     ) -> Vec<f64> {
         const CHUNK: usize = 512;
-        let threads = self.net.cfg().effective_threads();
-        let mut out = vec![0.0; cells.len()];
-        let net = &self.net;
-        // (chunk start offset, cells in the chunk)
-        type Shard<'a> = (usize, &'a [(usize, usize)]);
-        let work: std::sync::Mutex<Vec<Shard>> = std::sync::Mutex::new(
-            cells.chunks(CHUNK).enumerate().map(|(i, c)| (i * CHUNK, c)).collect(),
-        );
-        let out_cell = std::sync::Mutex::new(&mut out);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..threads.min(cells.len().max(1)) {
-                scope.spawn(|_| loop {
-                    let item = { work.lock().expect("queue").pop() };
-                    let Some((offset, chunk)) = item else { break };
-                    let trees: Vec<_> = chunk.iter().map(|&(r, c)| features.tree(r, c)).collect();
-                    let batch = TreeBatch::build(&trees);
-                    let qidx: Vec<usize> = chunk.iter().map(|&(r, _)| r).collect();
-                    let hidx: Vec<usize> = chunk.iter().map(|&(_, c)| c).collect();
-                    let (preds, _) = net.forward(&batch, &qidx, &hidx, None);
-                    let mut guard = out_cell.lock().expect("out");
-                    for (j, p) in preds.into_iter().enumerate() {
-                        guard[offset + j] = tf.inverse(p);
-                    }
-                });
-            }
-        })
-        .expect("inference threads");
-        out
+        let chunks: Vec<&[(usize, usize)]> = cells.chunks(CHUNK).collect();
+        let preds = par_map(chunks.len(), self.net.cfg().effective_threads(), |i| {
+            let chunk = chunks[i];
+            let trees: Vec<_> = chunk.iter().map(|&(r, c)| features.tree(r, c)).collect();
+            let batch = TreeBatch::build(&trees);
+            let qidx: Vec<usize> = chunk.iter().map(|&(r, _)| r).collect();
+            let hidx: Vec<usize> = chunk.iter().map(|&(_, c)| c).collect();
+            let (preds, _) = self.net.forward(&batch, &qidx, &hidx, None);
+            preds.into_iter().map(|p| tf.inverse(p)).collect::<Vec<f64>>()
+        });
+        preds.concat()
     }
 }
 
@@ -393,5 +366,48 @@ mod tests {
         let t2 = trainer.transform().expect("kept");
         assert_eq!(t1.mu, t2.mu);
         assert_eq!(t1.sigma, t2.sigma);
+    }
+
+    /// FNV-1a-style fold over the bit patterns of `values`.
+    fn bits_hash(values: &[f64]) -> u64 {
+        values
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, v| (h ^ v.to_bits()).wrapping_mul(0x100_0000_01b3))
+    }
+
+    #[test]
+    fn sharded_fit_and_chunked_inference_are_pinned() {
+        // 24 queries × 49 hints: 1176 cells, three 512-cell inference chunks.
+        let (features, truth) = setup(24, 84);
+        let wm = observed_matrix(&truth, 0.3, 5);
+        // Minibatches of 64 split into four 16-sample gradient shards, each
+        // drawing its own dropout mask, reduced in shard order.
+        let cfg =
+            TcnnConfig { batch_size: 64, dropout: 0.3, threads: 4, ..TcnnConfig::test_scale() };
+        let dim = limeqo_sim::features::NODE_FEATURE_DIM;
+        let net = TcnnNet::new(dim, 3, features.n, features.k, cfg.clone(), 10);
+        let mut trainer = TcnnTrainer::new(net, 11);
+        trainer.fit(&features, &wm);
+        let pred = trainer.predict_all(&features, &wm);
+        assert_eq!(
+            bits_hash(pred.as_slice()),
+            0x2c5c_2998_6bca_a7a8,
+            "fit or inference bits moved"
+        );
+
+        // The same weights predict the same bits serially.
+        let cells: Vec<(usize, usize)> =
+            (0..features.n).flat_map(|r| (0..features.k).map(move |c| (r, c))).collect();
+        assert!(cells.len() > 2 * 512);
+        let tf = trainer.transform().expect("fitted");
+        let mut serial_net =
+            TcnnNet::new(dim, 3, features.n, features.k, TcnnConfig { threads: 1, ..cfg }, 10);
+        serial_net.weights = trainer.net.weights.clone();
+        let serial = TcnnTrainer::new(serial_net, 11);
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(serial.predict_cells(&features, &cells, tf)),
+            bits(trainer.predict_cells(&features, &cells, tf))
+        );
     }
 }
