@@ -163,10 +163,16 @@ cargo test --offline -q -p limeqo-integration-tests --test scenarios
 # the factors and λ = 0 on rank-deficient factors are pinned at the
 # half-step by als.rs's unit tests (tier-1), and so are the kernel's
 # reorderings, each bit for bit against the order it replaced:
-# gram_is_t_matmul_bit_for_bit (the register Gram, with ±0.0, ±∞, NaN and
-# overflowing squares), row_loop_matches_the_dot_order_bit_for_bit (the
-# laned row sums, ranks 1–8, fixed and runtime rank) and
-# fused_clamp_is_clamp_min (the clamp in the row write, −0.0 and NaN).
+# gram_is_t_matmul_bit_for_bit (the register Gram without a zero select,
+# with ±0.0, ±∞, NaN and overflowing squares),
+# row_loop_matches_the_dot_order_bit_for_bit (the laned row sums, ranks
+# 1–8, fixed and runtime rank), row_pairs_match_the_dot_order_at_every_chunk_offset
+# (two rows per pass, started at every odd and even offset, ranks 1–8, both
+# instantiations, and a NaN row pinned to its one-chunk run),
+# fused_clamp_is_clamp_min (the clamp in the row write, −0.0 and NaN), and
+# linalg's matmul_t_matches_mat_matmul_t_bit_for_bit_on_edge_values (the
+# final QHᵀ laned across hints: a −0.0 first product, ±∞, NaN, widths 0, 1
+# and odd, fewer rows than threads).
 # Re-run under its own gate line (like the golden suite) so a kernel
 # divergence is named in CI output.
 echo "==> kernel-equivalence suite"
@@ -215,6 +221,31 @@ if [[ "$FAST" == "0" ]]; then
       echo "ci.sh: BENCH_policy_smoke.json is missing \"$key\"" >&2
       exit 1
     fi
+  done
+fi
+
+# Benchmark smoke: every workload BENCHMARK.json declares, run once through
+# the command it declares (cargo run --release of perfbench/) at --seed 1
+# --seconds 1 --trace 0. The run's last line must report "correct":true and
+# "failed":0, so a kernel change that breaks a benchmark output check fails
+# here (~30 s plus the perfbench release build) rather than in a full
+# benchmark run.
+if [[ "$FAST" == "0" ]]; then
+  echo "==> benchmark smoke (BENCHMARK.json command, each workload once)"
+  read -r -a bench_cmd <<< "$(sed -nE 's/^ *"command": *\[(.*)\],?$/\1/p' BENCHMARK.json | tr -d '",')"
+  bench_workloads=$(grep -oE '"name": *"[^"]+", *"why"' BENCHMARK.json | sed -E 's/"name": *"([^"]+)".*/\1/')
+  if [[ "${#bench_cmd[@]}" -eq 0 || -z "$bench_workloads" ]]; then
+    echo "ci.sh: could not read the command and workloads from BENCHMARK.json" >&2
+    exit 1
+  fi
+  for workload in $bench_workloads; do
+    result=$("${bench_cmd[@]}" --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    if [[ "$result" != *'"correct":true'* || "$result" != *'"failed":0,'* ]]; then
+      echo "ci.sh: benchmark smoke $workload did not report a correct run with no failures:" >&2
+      echo "$result" >&2
+      exit 1
+    fi
+    echo "    $workload: ${result%%,\"metrics\"*}}"
   done
 fi
 

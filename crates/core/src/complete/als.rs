@@ -43,13 +43,15 @@
 //!
 //! The kernel is written for speed without changing its arithmetic. At the
 //! paper's rank the Gram matrix is summed on the stack, upper triangle
-//! only (`gram`); the row loop's two r×r products are r axpys laned
-//! across the outputs, not r dots; the non-negativity projection is applied
-//! as each output is written; and each factor has two buffers that swap
-//! every iteration, so a fit allocates them once. Every output runs the
-//! same floating-point operations in the same order as the plain form
-//! (`t_matmul`, dots, a separate `clamp_min` pass), and the unit tests pin
-//! each piece to it bit for bit.
+//! only and without a select for zero entries (`gram`); the row loop's two
+//! r×r products are r axpys laned across the outputs, not r dots, and run
+//! on two rows at once; the non-negativity projection is applied as each
+//! output is written; and each factor has two buffers that swap every
+//! iteration, so a fit allocates them once. The final `QHᵀ`
+//! ([`par::matmul_t`]) is laned across the hints in the same way. Every
+//! output runs the same floating-point operations in the same order as the
+//! plain form (`t_matmul`, dots, a separate `clamp_min` pass), and the unit
+//! tests pin each piece to it bit for bit.
 //!
 //! [`dense_reference`] keeps the three-pass dense form (`QHᵀ`, fill,
 //! batched ridge solve) as the reference the tests and `perf` compare
@@ -247,6 +249,15 @@ fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
     }
 }
 
+/// [`axpy`] on two rows at once, `y[v][l] += a[l]·x[v]`: lane l of `y` and
+/// `a` belongs to row l. Each pair is written whole, so that the compiler
+/// packs it into one SSE2 register.
+fn axpy_pair(y: &mut [[f64; 2]], a: [f64; 2], x: &[f64]) {
+    for (y, &x) in y.iter_mut().zip(x) {
+        *y = [y[0] + a[0] * x, y[1] + a[1] * x];
+    }
+}
+
 /// [`Mat::clamp_min`]`(0.0)`'s rule for one value: `−0.0` and NaN stay as
 /// they are (`f64::max` would turn NaN into 0).
 fn clamp_nonneg(v: f64) -> f64 {
@@ -269,12 +280,13 @@ const FIXED_RANK: usize = 5;
 /// sums only the upper triangle, on the stack, and mirrors it; other ranks
 /// call `t_matmul`.
 ///
-/// `t_matmul` skips a term whose left entry is zero. Adding `+0.0` instead
-/// leaves a sum alone, because a sum started at `+0.0` is never `−0.0`.
-/// The mirror is exact while every entry is finite: then a zero times its
-/// partner is a zero too, whichever side skips it. A non-finite entry makes
-/// its column's diagonal non-finite (its terms are squares), and then the
-/// result is `t_matmul`'s own.
+/// `t_matmul` skips a term whose left entry is zero; `gram` adds it. While
+/// every entry is finite that term is `±0.0`, which leaves a sum alone,
+/// because a sum started at `+0.0` is never `−0.0`. For the same reason the
+/// mirror is exact: a zero times its partner is a zero, whichever side
+/// skips it. A non-finite entry makes its column's diagonal non-finite (its
+/// terms are squares), and so does a finite entry whose square overflows;
+/// then the result is `t_matmul`'s own.
 fn gram(m: &Mat) -> limeqo_linalg::Result<Mat> {
     const R: usize = FIXED_RANK;
     if m.cols() != R {
@@ -284,7 +296,7 @@ fn gram(m: &Mat) -> limeqo_linalg::Result<Mat> {
     for row in m.as_slice().chunks_exact(R) {
         for (i, &a) in row.iter().enumerate() {
             for (s, &b) in acc[i][i..].iter_mut().zip(&row[i..]) {
-                *s += if a == 0.0 { 0.0 } else { a * b };
+                *s += a * b;
             }
         }
     }
@@ -315,6 +327,7 @@ fn half_step(
     out: &mut Mat,
 ) -> limeqo_linalg::Result<()> {
     assert_eq!(out.shape(), own.shape(), "half-step output buffer");
+    assert_eq!(other.cols(), own.cols(), "half-step factor ranks");
     let r = own.cols();
     let gram = gram(other)?;
     let inv = RidgeFactor::from_gram(&gram, lambda)?.inverse();
@@ -334,7 +347,7 @@ fn half_step(
 
 /// The operands of one [`half_step`]: the transposes of the Gram matrix
 /// `GᵀG` of `other` and of the inverse of `GᵀG + λI`, so that the row loop
-/// adds whole rows of them (see [`axpy`]).
+/// adds whole rows of them (see [`axpy_pair`]).
 #[derive(Clone, Copy)]
 struct Step<'a> {
     own: &'a Mat,
@@ -348,34 +361,62 @@ struct Step<'a> {
 impl Step<'_> {
     /// Output rows `first..`, one r-long row per `chunk` row. `R` is the
     /// rank when nonzero; `R = 0` reads it from `own` at run time.
+    ///
+    /// Rows go two to a pass: both r×r products run on lane pairs
+    /// ([`axpy_pair`]), and each row's cells are summed by [`axpy`] on its
+    /// own lane. Rows pair by index, `2j` in lane 0 with `2j + 1` in lane 1,
+    /// so that a row runs in the lane of its parity wherever the chunk
+    /// starts: Rust leaves a NaN result's payload unspecified, and the two
+    /// lanes need not pick the same one. A row whose partner lies outside
+    /// the chunk is paired with itself and written once.
     fn rows<const R: usize>(self, first: usize, chunk: &mut [f64]) {
         let r = if R == 0 { self.own.cols() } else { R };
-        // On the stack at a constant rank, so that they stay in registers.
-        let (mut fixed, mut sized) = ([[0.0; R]; 2], Vec::new());
-        let (rhs, x): (&mut [f64], &mut [f64]) = if R == 0 {
-            sized.resize(2 * r, 0.0);
-            sized.split_at_mut(r)
+        // On the stack at a constant rank, so that they stay in registers:
+        // three separate arrays, because one array holding both `rhs` and
+        // `x` took 1.25× the time of the loop in isolation.
+        let mut rhs_fixed = [[0.0; 2]; R];
+        let mut x_fixed = [[0.0; 2]; R];
+        let mut lane_fixed = [0.0; R];
+        let mut sized;
+        let (rhs, x, lane_sum): (&mut [[f64; 2]], &mut [[f64; 2]], &mut [f64]) = if R == 0 {
+            sized = (vec![[0.0; 2]; r], vec![[0.0; 2]; r], vec![0.0; r]);
+            (&mut sized.0, &mut sized.1, &mut sized.2)
         } else {
-            let [rhs, x] = &mut fixed;
-            (rhs, x)
+            (&mut rhs_fixed, &mut x_fixed, &mut lane_fixed)
         };
-        for (i, out) in chunk.chunks_exact_mut(r).enumerate() {
-            let row = first + i;
-            let f = &self.own.row(row)[..r];
-            rhs.fill(0.0);
-            for (&fu, gram_col) in f.iter().zip(self.gram_t.as_slice().chunks_exact(r)) {
-                axpy(rhs, fu, gram_col);
+        // Sliced to r×r, so that at a constant rank every loop over them
+        // has a known trip count and unrolls.
+        let gram_t = &self.gram_t.as_slice()[..r * r];
+        let inv_t = &self.inv_t.as_slice()[..r * r];
+        let end = first + chunk.len() / r;
+        for even in (first & !1..end).step_by(2) {
+            let pair = [even.max(first), (even + 1).min(end - 1)];
+            let f = pair.map(|row| &self.own.as_slice()[row * r..][..r]);
+            rhs.fill([0.0; 2]);
+            for ((&a, &b), gram_col) in f[0].iter().zip(f[1]).zip(gram_t.chunks_exact(r)) {
+                axpy_pair(rhs, [a, b], gram_col);
             }
-            for e in self.cells.run(row) {
-                let g = &self.other.row(e.at as usize)[..r];
-                axpy(rhs, e.residual(dot(f, g)), g);
+            for (lane, (row, f)) in pair.into_iter().zip(f).enumerate() {
+                for (s, y) in lane_sum.iter_mut().zip(rhs.iter()) {
+                    *s = y[lane];
+                }
+                for e in self.cells.run(row) {
+                    let g = &self.other.as_slice()[e.at as usize * r..][..r];
+                    axpy(lane_sum, e.residual(dot(f, g)), g);
+                }
+                for (&s, y) in lane_sum.iter().zip(rhs.iter_mut()) {
+                    y[lane] = s;
+                }
             }
-            x.fill(0.0);
-            for (&b, inv_col) in rhs.iter().zip(self.inv_t.as_slice().chunks_exact(r)) {
-                axpy(x, b, inv_col);
+            x.fill([0.0; 2]);
+            for (&b, inv_col) in rhs.iter().zip(inv_t.chunks_exact(r)) {
+                axpy_pair(x, b, inv_col);
             }
-            for (out, &v) in out.iter_mut().zip(x.iter()) {
-                *out = if self.nonneg { clamp_nonneg(v) } else { v };
+            for (lane, row) in pair.into_iter().enumerate().filter(|&(lane, row)| row % 2 == lane) {
+                let out = &mut chunk[(row - first) * r..][..r];
+                for (out, x) in out.iter_mut().zip(x.iter()) {
+                    *out = if self.nonneg { clamp_nonneg(x[lane]) } else { x[lane] };
+                }
             }
         }
     }
@@ -1088,6 +1129,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn row_pairs_match_the_dot_order_at_every_chunk_offset() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut nan_outputs = 0;
+        for seed in 0..12u64 {
+            for r in 1..=8 {
+                let mut rng = SeededRng::new(seed ^ 0x9A12 ^ ((r as u64) << 32));
+                let (n, k) = (1 + rng.index(12), 1 + rng.index(12));
+                let mut q = rng.uniform_mat(n, r, 0.0, 2.0);
+                let mut h = rng.uniform_mat(k, r, 0.0, 2.0);
+                plant_zeros(&mut rng, &mut q, 0.3);
+                plant_zeros(&mut rng, &mut h, 0.3);
+                let wm = edge_case_matrix(&mut rng, &q.matmul_t(&h).unwrap());
+                let lambda = rng.uniform(0.05, 1.0);
+                let rows = Runs::gather(&wm, 0..n, true);
+                let cols = rows.transpose(k);
+                for (own, other, cells) in [(&q, &h, &rows), (&h, &q, &cols)] {
+                    let gram = other.t_matmul(other).unwrap();
+                    let inv = RidgeFactor::from_gram(&gram, lambda).unwrap().inverse();
+                    let (gram_t, inv_t) = (gram.transpose(), inv.transpose());
+                    let step = |own| Step {
+                        own,
+                        other,
+                        cells,
+                        gram_t: &gram_t,
+                        inv_t: &inv_t,
+                        nonneg: false,
+                    };
+                    // A NaN in one row gives NaN outputs whose payloads
+                    // neither the dot-order loop nor the other instantiation
+                    // need share, so that copy is pinned to its own
+                    // one-chunk run instead.
+                    let mut with_nan = own.clone();
+                    with_nan[(rng.index(own.rows()), rng.index(r))] = f64::NAN;
+                    let finite = bits(&dot_order_rows(own, other, cells, &gram, &inv));
+                    for fixed in [false, true] {
+                        if fixed && r != FIXED_RANK {
+                            continue;
+                        }
+                        let rows = |step: Step, first, out: &mut [f64]| match fixed {
+                            true => step.rows::<FIXED_RANK>(first, out),
+                            false => step.rows::<0>(first, out),
+                        };
+                        let mut nan_run = vec![f64::NAN; own.len()];
+                        rows(step(&with_nan), 0, &mut nan_run);
+                        nan_outputs += nan_run.iter().filter(|v| v.is_nan()).count();
+                        for (own, want) in [(own, &finite), (&with_nan, &bits(&nan_run))] {
+                            // Odd and even starts, odd and even lengths.
+                            for start in 0..own.rows() {
+                                for end in start + 1..=own.rows() {
+                                    let mut got = vec![f64::NAN; (end - start) * r];
+                                    rows(step(own), start, &mut got);
+                                    let want = &want[start * r..end * r];
+                                    assert_eq!(
+                                        bits(&got),
+                                        want,
+                                        "seed {seed} r {r} {start}..{end}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(nan_outputs > 0, "no NaN output to pin");
     }
 
     #[test]

@@ -303,7 +303,15 @@ impl<'a> Engine<'a> {
     }
 
     /// Process one event, returning the directives the driver must act on.
+    /// A malformed event is ignored whole: it returns no action and moves
+    /// nothing. That is an arrival for a row past the matrix or without a
+    /// measured default, appended queries with a default that is negative or
+    /// not finite, and a data shift with an observation outside the
+    /// post-shift matrix or a latency that is negative or not finite.
     pub fn step(&mut self, event: Event) -> Vec<Action> {
+        if !self.accepts(&event) {
+            return Vec::new();
+        }
         match event {
             Event::Tick => self.on_tick(),
             Event::Observation { row, col, value, censored } => {
@@ -315,6 +323,24 @@ impl<'a> Engine<'a> {
                 self.on_data_shift(new_rows, &observations)
             }
             Event::ProbeFailed { row, col } => self.on_probe_failed(row, col),
+        }
+    }
+
+    /// Whether `event` fits the matrix it would change (see [`Engine::step`]
+    /// for what does not), checked before anything moves.
+    fn accepts(&self, event: &Event) -> bool {
+        let wm = self.store.matrix();
+        let latency = |v: f64| v.is_finite() && v >= 0.0;
+        match event {
+            Event::Arrival { row } => {
+                *row < wm.n_rows()
+                    && matches!(wm.cell(*row, WorkloadMatrix::DEFAULT_HINT), Cell::Complete(_))
+            }
+            Event::AddQueries { defaults } => defaults.iter().all(|&d| latency(d)),
+            Event::DataShift { new_rows, observations } => observations
+                .iter()
+                .all(|&(row, col, v)| row < *new_rows && col < wm.n_cols() && latency(v)),
+            Event::Tick | Event::Observation { .. } | Event::ProbeFailed { .. } => true,
         }
     }
 
@@ -709,14 +735,18 @@ mod tests {
         })
     }
 
-    /// Everything an observation can move: the store, the clock, the trace,
-    /// the executed-cell count, the retry queue and the online stats.
+    /// Everything an event can move: the store, the clock, the trace, the
+    /// executed-cell count, the retry queue, the online stats, the pending
+    /// probes and gamble, whether predictions are fitted, and the RNG.
     fn footprint(e: &Engine<'_>) -> String {
         let mut enc = crate::persist::Enc::new();
         e.store.save_state(&mut enc);
         let (clock, cells) = (e.time_spent, e.cells_executed);
         let (trace, retries, stats) = (&e.trace, &e.retry_queue, &e.stats);
-        format!("{} {clock} {cells} {trace:?} {retries:?} {stats:?}", enc.finish())
+        let (pending, gamble, fitted) = (&e.pending, &e.gamble, e.predictions.is_some());
+        let rng = e.rng.state();
+        let moved = format!("{pending:?} {gamble:?} {fitted} {rng:?}");
+        format!("{} {clock} {cells} {trace:?} {retries:?} {stats:?} {moved}", enc.finish())
     }
 
     #[test]
@@ -899,5 +929,52 @@ mod tests {
         let (row, col, _) = first_probe(&e.step(Event::Arrival { row: 5 })).expect("a gamble");
         assert_eq!(row, 5);
         assert_ne!(col, WorkloadMatrix::DEFAULT_HINT);
+    }
+
+    #[test]
+    fn an_arrival_past_the_matrix_or_without_a_default_is_ignored() {
+        let store = ObservationStore::with_defaults(&[10.0, 8.0, 12.0, 9.0], 4);
+        let cfg = OnlineConfig { explore_prob: 1.0, ..Default::default() };
+        let mut e = Engine::online(store, Box::new(FlatCompleter(1.0)), &cfg);
+        let before = footprint(&e);
+        assert!(e.step(Event::Arrival { row: 4 }).is_empty());
+        assert_eq!(footprint(&e), before, "a row past the matrix");
+        // A shift that re-measured row 0's default only: rows 1-3 have no
+        // incumbent to serve.
+        e.step(Event::DataShift { new_rows: 4, observations: vec![(0, 0, 10.0)] });
+        let before = footprint(&e);
+        assert!(e.step(Event::Arrival { row: 2 }).is_empty());
+        assert_eq!(footprint(&e), before, "a row without a default");
+        assert!(!e.step(Event::Arrival { row: 0 }).is_empty(), "a well-formed arrival");
+    }
+
+    #[test]
+    fn a_data_shift_with_a_malformed_observation_is_ignored() {
+        // The shift keeps 2 of the 3 rows, so row 2 lies outside it.
+        let bad = [(7, 0, 1.0), (2, 0, 1.0), (0, 4, 1.0), (0, 1, -1.0), (0, 1, f64::NAN)];
+        for bad in bad.into_iter().chain([(0, 1, f64::INFINITY)]) {
+            let mut e = offline_engine(RetryPolicy::default());
+            e.step(Event::Tick); // a pending probe, which a shift clears
+            let before = footprint(&e);
+            let observations = vec![(0, 0, 10.0), bad];
+            assert!(e.step(Event::DataShift { new_rows: 2, observations }).is_empty());
+            assert_eq!(footprint(&e), before, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn appended_queries_with_a_malformed_default_are_ignored() {
+        let store = ObservationStore::with_defaults(&[10.0, 8.0], 3);
+        let cfg = OnlineConfig { explore_prob: 1.0, ..Default::default() };
+        let mut e = Engine::online(store, Box::new(FlatCompleter(1.0)), &cfg);
+        let (row, col, timeout) =
+            first_probe(&e.step(Event::Arrival { row: 0 })).expect("a gamble");
+        e.step(execute_probe(row, col, timeout, 2.0)); // predictions stay fitted
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let before = footprint(&e);
+            assert!(e.step(Event::AddQueries { defaults: vec![7.0, bad] }).is_empty());
+            assert_eq!(footprint(&e), before, "default {bad}");
+        }
+        assert_eq!(e.wm().n_rows(), 2);
     }
 }

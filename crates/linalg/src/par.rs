@@ -16,7 +16,10 @@
 //! [`par_map`] returns `f(0), …, f(len - 1)` in index order (TCNN gradient
 //! shards and inference chunks, plan featurization, seed and scenario
 //! fan-outs). Threads come from [`crossbeam::thread::scope`]: borrows are
-//! scoped, and a worker's panic propagates to the caller.
+//! scoped, and a worker's panic propagates to the caller. An n-way fan-out
+//! spawns n − 1 workers and runs its last chunk on the calling thread; a
+//! panic in any chunk, the caller's included, reaches the caller once every
+//! worker has joined.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Mat;
@@ -37,13 +40,13 @@ pub fn resolve_threads(threads: usize) -> usize {
 }
 
 /// Below this many inner-loop multiply-adds, auto mode stays serial:
-/// a scope that spawns two workers, as [`par_chunks`] does at two
-/// threads, took about 50 µs on an idle 2-vCPU Intel Xeon host (47–58 µs;
-/// one spawn plus the calling thread took 32–43 µs), and several times
-/// that while another build shared the host. That dwarfs sub-threshold
-/// kernels (the fast scenario registry's matrices are this small). Purely
-/// a performance heuristic — chunked and serial execution are
-/// byte-identical either way.
+/// a two-way [`par_chunks`], which spawns one worker and runs the other
+/// chunk on the calling thread, took 18–19 µs on an idle 2-vCPU Intel Xeon
+/// host, against 28–31 µs when it spawned both (2000 iterations, nine runs,
+/// three processes each), and several times that while another build
+/// shared the host. That dwarfs sub-threshold kernels (the fast scenario
+/// registry's matrices are this small). Purely a performance heuristic —
+/// chunked and serial execution are byte-identical either way.
 pub const MIN_PAR_WORK: usize = 262_144;
 
 /// Worker count for a kernel performing roughly `work` multiply-adds:
@@ -101,14 +104,17 @@ where
         return;
     }
     let ranges = chunk_ranges(units, workers);
+    let (&(last, _), spawned) = ranges.split_last().expect("two or more chunks");
     crossbeam::thread::scope(|scope| {
         let mut rest = &mut *out;
-        for &(start, end) in &ranges {
+        for &(start, end) in spawned {
             let (chunk, tail) = rest.split_at_mut((end - start) * unit);
             rest = tail;
             let f = &f;
             scope.spawn(move |_| f(start, chunk));
         }
+        // The calling thread is the last worker: one spawn fewer.
+        f(last, rest);
     })
     .expect("parallel chunk fan-out");
 }
@@ -140,7 +146,16 @@ where
 ///
 /// Byte-identical to [`Mat::matmul_t`] at any thread count: each output
 /// element is the same left-to-right dot product; the partition only
-/// decides which worker writes which pre-allocated output rows.
+/// decides which worker writes which pre-allocated output rows. The dots
+/// are laned across each output row: `b` is transposed once, and row i is
+/// `a[i][0]·bᵀ[0] + … + a[i][r−1]·bᵀ[r−1]`, one axpy per term, so entry j
+/// runs dot j's multiplies and adds in dot j's order. The first term is
+/// written as `0.0 + x·y`, the dot's `acc = 0.0; acc += x·y` (a `−0.0`
+/// product becomes `+0.0`), not added into the zeroed row, which would read
+/// each fresh page before writing it: with a fresh mapping per product, a
+/// 10k × 49 product at rank 5 took 2.5 ms that way and 1.7 ms this way.
+/// Where two NaNs meet in one entry, which payload survives is left to the
+/// compiler, as Rust leaves it.
 pub fn matmul_t(a: &Mat, b: &Mat, threads: usize) -> Result<Mat> {
     if a.cols() != b.cols() {
         return Err(LinalgError::ShapeMismatch {
@@ -154,17 +169,20 @@ pub fn matmul_t(a: &Mat, b: &Mat, threads: usize) -> Result<Mat> {
     if width == 0 {
         return Ok(out);
     }
+    let b_t = b.transpose();
     let threads = effective_threads(threads, a.rows() * b.rows() * a.cols());
     par_chunks(out.as_mut_slice(), width, threads, |r0, chunk| {
-        for (i, out_row) in chunk.chunks_mut(width).enumerate() {
-            let a_row = a.row(r0 + i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = b.row(j);
-                let mut acc = 0.0;
-                for (&x, &y) in a_row.iter().zip(b_row.iter()) {
-                    acc += x * y;
+        for (i, out_row) in chunk.chunks_exact_mut(width).enumerate() {
+            let mut terms = a.row(r0 + i).iter().zip(b_t.as_slice().chunks_exact(width));
+            if let Some((&x, b_col)) = terms.next() {
+                for (o, &y) in out_row.iter_mut().zip(b_col) {
+                    *o = 0.0 + x * y;
                 }
-                *o = acc;
+            }
+            for (&x, b_col) in terms {
+                for (o, &y) in out_row.iter_mut().zip(b_col) {
+                    *o += x * y;
+                }
             }
         }
     });
@@ -246,6 +264,103 @@ mod tests {
             let par = matmul_t(&a, &b, threads).unwrap();
             assert_eq!(par.as_slice(), serial.as_slice(), "threads={threads}");
         }
+    }
+
+    #[test]
+    fn one_chunk_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for threads in [2, 3, 8] {
+            let ids = par_map(threads, threads, |_| std::thread::current().id());
+            assert_eq!(ids.iter().filter(|&&id| id == caller).count(), 1, "par_map, {threads}");
+            let mut slots = vec![None; threads];
+            par_chunks(&mut slots, 1, threads, |_, chunk| {
+                chunk[0] = Some(std::thread::current().id());
+            });
+            let on_caller = slots.iter().filter(|&&id| id == Some(caller)).count();
+            assert_eq!(on_caller, 1, "par_chunks, {threads}");
+        }
+    }
+
+    /// Panics on a spawned worker's thread, not on `caller`'s.
+    fn panic_off(caller: std::thread::ThreadId) {
+        if std::thread::current().id() != caller {
+            panic!("a spawned worker's chunk");
+        }
+    }
+
+    /// Panics on `caller`'s thread only.
+    fn panic_on(caller: std::thread::ThreadId) {
+        if std::thread::current().id() == caller {
+            panic!("the caller's chunk");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_spawned_workers_panic_reaches_the_caller_through_par_chunks() {
+        let caller = std::thread::current().id();
+        par_chunks(&mut [0u8; 4], 1, 2, |_, _| panic_off(caller));
+    }
+
+    #[test]
+    #[should_panic(expected = "the caller's chunk")]
+    fn the_callers_own_panic_propagates_through_par_chunks() {
+        let caller = std::thread::current().id();
+        par_chunks(&mut [0u8; 4], 1, 2, |_, _| panic_on(caller));
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_spawned_workers_panic_reaches_the_caller_through_par_map() {
+        let caller = std::thread::current().id();
+        par_map(4, 2, |_| panic_off(caller));
+    }
+
+    #[test]
+    #[should_panic(expected = "the caller's chunk")]
+    fn the_callers_own_panic_propagates_through_par_map() {
+        let caller = std::thread::current().id();
+        par_map(4, 2, |_| panic_on(caller));
+    }
+
+    #[test]
+    fn matmul_t_matches_mat_matmul_t_bit_for_bit_on_edge_values() {
+        // Every bit, signed zeros and infinities included, except a NaN's
+        // payload: Rust leaves it unspecified when two NaNs meet in an add,
+        // and the laned loop and the dot need not keep the same one, so a
+        // NaN matches any NaN.
+        let bits = |m: &Mat| {
+            let bits = |v: &f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
+            m.as_slice().iter().map(bits).collect::<Vec<_>>()
+        };
+        // A −0.0 first product: the dot starts at +0.0, so the entry is
+        // +0.0 where the product alone would be −0.0.
+        let a = Mat::from_rows(&[&[-1.0, 0.0], &[-0.0, -0.0]]);
+        let b = Mat::from_rows(&[&[0.0, -0.0], &[2.0, 0.0], &[-0.0, 3.0]]);
+        let want = a.matmul_t(&b).unwrap();
+        assert_eq!(want[(0, 0)].to_bits(), 0.0f64.to_bits());
+        assert_eq!(bits(&matmul_t(&a, &b, 1).unwrap()), bits(&want));
+        let specials = [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e300, -1e300];
+        let mut non_finite = 0;
+        for seed in 0..120u64 {
+            let mut rng = SeededRng::new(seed ^ 0x3A7);
+            // Widths 0, 1 and odd; fewer rows than threads; inner sizes 0–6.
+            let (n, k, r) = (rng.index(7), [0, 1, 2, 3, 7, 49][rng.index(6)], rng.index(7));
+            let mut a = rng.uniform_mat(n, r, -2.0, 2.0);
+            let mut b = rng.uniform_mat(k, r, -2.0, 2.0);
+            for v in a.as_mut_slice().iter_mut().chain(b.as_mut_slice()) {
+                if rng.chance(0.15) {
+                    *v = specials[rng.index(specials.len())];
+                }
+            }
+            let want = a.matmul_t(&b).unwrap();
+            non_finite += want.as_slice().iter().filter(|v| !v.is_finite()).count();
+            for threads in [1, 2, 3, 8] {
+                let got = matmul_t(&a, &b, threads).unwrap();
+                assert_eq!(bits(&got), bits(&want), "seed {seed} threads {threads}");
+            }
+        }
+        assert!(non_finite > 0, "no non-finite product to pin");
     }
 
     #[test]
